@@ -89,7 +89,7 @@ runPipeline(StorePrefetchPolicy policy, bool spb, bool ideal,
     cc.policy = policy;
     cc.useSpb = spb;
     cc.idealSb = ideal;
-    Core core(cc, 0, &clock, &mem.l1d(0), trace.get());
+    Core core(cc, 0, &clock, &mem.l1d(0), {trace.get()});
 
     while (core.committed() < 200'000) {
         clock.tick();

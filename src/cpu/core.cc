@@ -76,96 +76,148 @@ CoreStats::toStatSet() const
 }
 
 Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
-           CacheController *l1d, TraceSource *trace)
+           CacheController *l1d, std::vector<TraceSource *> traces)
     : config_(config),
       p_(config.params),
       coreId_(core_id),
       clock_(clock),
-      l1d_(l1d),
-      trace_(trace),
-      rng_(0xc0ffee ^ (static_cast<std::uint64_t>(core_id) << 32)),
-      sb_(config.idealSb ? 1024 : config.params.sqSize, l1d, core_id),
-      dtlb_(config.params.tlb),
-      intRegsFree_(config.params.intRegs),
-      fpRegsFree_(config.params.fpRegs)
+      l1d_(l1d)
 {
-    SPB_ASSERT(clock != nullptr && trace != nullptr,
-               "core needs a clock and a trace");
-    rob_.reset(p_.robSize);
-    fetchPipe_.reset(p_.fetchBufferUops);
+    SPB_ASSERT(clock != nullptr, "core needs a clock");
+    SPB_ASSERT(!traces.empty() && traces.size() <= kMaxThreads,
+               "core needs 1-%d traces, got %zu", kMaxThreads,
+               traces.size());
+
+    // Static partitioning (Intel optimization manual Sec. 2.6.9): the
+    // SB, ROB, LQ, register files and fetch buffer are divided among
+    // the threads; the IQ is shared. The floors only matter for
+    // structures smaller than them.
+    const unsigned nt = static_cast<unsigned>(traces.size());
+    const unsigned sb_entries =
+        config_.idealSb ? 1024 : std::max(1u, p_.sqSize / nt);
+    robPerThread_ = std::max(4u, p_.robSize / nt);
+    lqPerThread_ = std::max(2u, p_.lqSize / nt);
+    fetchBufPerThread_ = std::max(4u, p_.fetchBufferUops / nt);
+
     const StorePrefetchPolicy policy =
         config_.idealSb ? StorePrefetchPolicy::AtCommit : config_.policy;
-    sb_.setPrefetchAtCommit(policy == StorePrefetchPolicy::AtCommit);
-    sb_.setCoalescing(config_.coalescingSb);
-    if (config_.useSpb) {
-        spb_ = std::make_unique<SpbEngine>(config_.spb, l1d_, coreId_);
-        sb_.setSpbEngine(spb_.get());
+    threads_.reserve(nt);
+    for (unsigned tid = 0; tid < nt; ++tid) {
+        SPB_ASSERT(traces[tid] != nullptr, "thread %u has no trace", tid);
+        // Wrong-path synthesis seed. Several threads keep the seeds the
+        // SMT results in tests/data/smt_golden.txt were recorded with,
+        // so those results stay byte-identical.
+        const std::uint64_t seed =
+            nt == 1 ? 0xc0ffee ^ (static_cast<std::uint64_t>(core_id) << 32)
+                    : 0x5b5bull ^ (static_cast<std::uint64_t>(tid) << 32);
+        Thread &t = threads_.emplace_back(static_cast<int>(tid),
+                                          traces[tid], seed, sb_entries,
+                                          l1d_, coreId_, p_.tlb);
+        t.rob.reset(robPerThread_);
+        t.fetchPipe.reset(fetchBufPerThread_);
+        t.intRegsFree = std::max(8u, p_.intRegs / nt);
+        t.fpRegsFree = std::max(8u, p_.fpRegs / nt);
+        t.sb.setPrefetchAtCommit(policy == StorePrefetchPolicy::AtCommit);
+        t.sb.setCoalescing(config_.coalescingSb);
+        if (config_.useSpb) {
+            t.spb = std::make_unique<SpbEngine>(config_.spb, l1d_, coreId_);
+            t.sb.setSpbEngine(t.spb.get());
+        }
     }
+}
+
+void
+Core::setEventLog(check::EventLog *log)
+{
+    eventLog_ = log;
+    for (Thread &t : threads_)
+        t.sb.setEventLog(log, t.tid, clock_);
+}
+
+std::uint64_t
+Core::minCommitted() const
+{
+    std::uint64_t least = ~0ull;
+    for (const Thread &t : threads_)
+        least = std::min(least, t.stats.committedUops);
+    return least;
 }
 
 // spburst-lint: ff(tick)
 void
 Core::tick()
 {
-    ++stats_.cycles;
-    // Stage gates: each stage runs only when it provably has work.
-    // Timer completions exist only while execPending_ > 0, and a
+    // Stage gates: each stage runs only when some thread provably has
+    // work. Timer completions exist only while execPending > 0, and a
     // completed-unrecovered mispredicted branch never survives a tick
     // (the recovery scan runs in the same tick that completes it), so
-    // completeAndRecover has nothing to do once execPending_ is 0 —
+    // completeAndRecover has nothing to do once execPending is 0 —
     // memory completions mark entries completed directly. The
-    // nextTimerCycle_ lower bound additionally skips the scan while
+    // nextTimerCycle lower bound additionally skips the scan while
     // every pending timer is still in the future (branches only
-    // complete by timer, so no recovery can be missed either).
-    if (execPending_ != 0 && clock_->now >= nextTimerCycle_)
-        completeAndRecover();
-    if (!rob_.empty() &&
-        (rob_.flags(0) & robflags::kCompleted) != 0)
+    // complete by timer, so no recovery can be missed either). Commit
+    // and issue leave the fetch pipes alone, so the dispatch gate holds
+    // past them.
+    bool commit = false;
+    bool dispatch = false;
+    for (Thread &t : threads_) {
+        ++t.stats.cycles;
+        if (t.execPending != 0 && clock_->now >= t.nextTimerCycle)
+            completeAndRecover(t);
+        commit |= !t.rob.empty() &&
+                  (t.rob.flags(0) & robflags::kCompleted) != 0;
+        dispatch |= !t.fetchPipe.empty();
+    }
+    if (commit)
         commitStage();
     issueStage();
-    if (!fetchPipe_.empty())
+    if (dispatch)
         dispatchStage();
-    if (fetchPipe_.size() < p_.fetchBufferUops)
-        fetchStage();
-    sb_.tick(clock_->now);
+    fetchStage();
+    for (Thread &t : threads_)
+        t.sb.tick(clock_->now);
+    rotate_ = nextTurn(rotate_, threads());
 }
 
 bool
 Core::quiescent() const
 {
+    if (threads_.size() != 1)
+        return false;
+    const Thread &t = threads_[0];
     // Something completes by timer.
-    if (execPending_ != 0)
+    if (t.execPending != 0)
         return false;
     // Fetch would make progress (an exhausted fetch budget blocks
     // correct-path fetch, but never wrong-path synthesis).
-    if (fetchPipe_.size() < p_.fetchBufferUops &&
-        (wrongPathMode_ || fetchBudget_ != 0))
+    if (t.fetchPipe.size() < fetchBufPerThread_ &&
+        (t.wrongPathMode || fetchBudget_ != 0))
         return false;
     // Commit would make progress.
-    if (!rob_.empty() && (rob_.flags(0) & robflags::kCompleted) != 0)
+    if (!t.rob.empty() && (t.rob.flags(0) & robflags::kCompleted) != 0)
         return false;
     // Dispatch would make progress — either the head is still
     // traversing the front end (it matures at a known future cycle) or
     // no resource blocks it. With the fetch budget exhausted the pipe
     // can be empty; dispatch then has no work at all.
-    if (!fetchPipe_.empty()) {
-        const FetchedUop &f = fetchPipe_.front();
+    if (!t.fetchPipe.empty()) {
+        const FetchedUop &f = t.fetchPipe.front();
         if (clock_->now < f.fetchCycle + p_.frontEndDepth)
             return false;
-        if (dispatchBlocker(f) == StallResource::None)
+        if (dispatchBlocker(t, f) == StallResource::None)
             return false;
     }
     // The SB head would start a drain.
-    if (!sb_.quiescent())
+    if (!t.sb.quiescent())
         return false;
     // Issue would make progress (O(ROB) scan, gated behind the cheap
     // checks above; completions that could wake these entries arrive
-    // only via memory events once execPending_ is 0).
-    if (iqCount_ != 0) {
-        const std::size_t n = rob_.size();
+    // only via memory events once execPending is 0).
+    if (t.iqCount != 0) {
+        const std::size_t n = t.rob.size();
         for (std::size_t i = 0; i < n; ++i) {
-            if ((rob_.flags(i) & robflags::kInIq) != 0 &&
-                sourcesReady(i))
+            if ((t.rob.flags(i) & robflags::kInIq) != 0 &&
+                sourcesReady(t, i))
                 return false;
         }
     }
@@ -176,23 +228,25 @@ Core::quiescent() const
 void
 Core::skipQuiescentCycles(Cycle n)
 {
+    SPB_ASSERT(threads_.size() == 1, "skipQuiescentCycles on an SMT core");
+    Thread &t = threads_[0];
     const Cycle now = clock_->now; // skipped ticks: now+1 .. now+n
-    stats_.cycles += n;
-    if (!rob_.empty()) {
-        stats_.noIssueCycles += n;
+    t.stats.cycles += n;
+    if (!t.rob.empty()) {
+        t.stats.noIssueCycles += n;
         // The exec-stall condition (an outstanding correct-path L1D
         // load older than the hit latency) is time-dependent: it can
         // become true mid-skip, at minIssuedAt + hitLatency + 1.
-        if (memPendingCount_ != 0) {
+        if (t.memPendingCount != 0) {
             Cycle min_issued = kNeverCycle;
-            const std::size_t sz = rob_.size();
+            const std::size_t sz = t.rob.size();
             for (std::size_t i = 0; i < sz; ++i) {
                 constexpr std::uint8_t want = robflags::kMemPending;
                 constexpr std::uint8_t care =
                     robflags::kMemPending | robflags::kWrongPath;
-                if ((rob_.flags(i) & care) == want &&
-                    rob_.issuedAt(i) < min_issued) {
-                    min_issued = rob_.issuedAt(i);
+                if ((t.rob.flags(i) & care) == want &&
+                    t.rob.issuedAt(i) < min_issued) {
+                    min_issued = t.rob.issuedAt(i);
                 }
             }
             if (min_issued != kNeverCycle) {
@@ -200,7 +254,7 @@ Core::skipQuiescentCycles(Cycle n)
                 const Cycle last = now + n;
                 if (last >= t0) {
                     const Cycle from = std::max(now + 1, t0);
-                    stats_.execStallL1dPending += last - from + 1;
+                    t.stats.execStallL1dPending += last - from + 1;
                 }
             }
         }
@@ -208,26 +262,30 @@ Core::skipQuiescentCycles(Cycle n)
     // Quiescence guarantees a mature, resource-blocked dispatch head —
     // unless the fetch budget ran out and the pipe is empty (sampling
     // drain), in which case a tick would accrue no dispatch stall.
-    if (!fetchPipe_.empty()) {
+    if (!t.fetchPipe.empty()) {
         const StallResource blocker =
-            dispatchBlocker(fetchPipe_.front());
+            dispatchBlocker(t, t.fetchPipe.front());
         SPB_ASSERT(blocker != StallResource::None,
                    "skipQuiescentCycles on a dispatchable core");
-        stats_.dispatchStalls[static_cast<int>(blocker)] += n;
+        t.stats.dispatchStalls[static_cast<int>(blocker)] += n;
         if (blocker == StallResource::Sb) {
-            stats_.sbStallsByRegion[static_cast<int>(sb_.headRegion())] +=
-                n;
+            t.stats.sbStallsByRegion[static_cast<int>(
+                t.sb.headRegion())] += n;
         }
     }
-    sb_.skipCycles(n);
+    t.sb.skipCycles(n);
 }
 
 bool
 Core::drained() const
 {
-    return fetchPipe_.empty() && rob_.empty() && sb_.size() == 0 &&
-           execPending_ == 0 && memPendingCount_ == 0 &&
-           !wrongPathMode_;
+    for (const Thread &t : threads_) {
+        if (!t.fetchPipe.empty() || !t.rob.empty() || t.sb.size() != 0 ||
+            t.execPending != 0 || t.memPendingCount != 0 ||
+            t.wrongPathMode)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -235,16 +293,17 @@ Core::restoreWarmState(const TlbSnapshot &tlb,
                        const SpbDetectorState *detector)
 {
     SPB_ASSERT(drained(), "warm-state load into a busy core");
-    dtlb_.restoreEntries(tlb);
-    if (spb_ && detector != nullptr)
-        spb_->restoreDetectorState(*detector);
+    Thread &t = threads_[0];
+    t.dtlb.restoreEntries(tlb);
+    if (t.spb && detector != nullptr)
+        t.spb->restoreDetectorState(*detector);
 }
 
 void
-Core::completeAndRecover()
+Core::completeAndRecover(Thread &t)
 {
     const Cycle now = clock_->now;
-    const std::size_t n = rob_.size();
+    const std::size_t n = t.rob.size();
     Cycle next = kNeverCycle;
     std::size_t recover = RobRing::npos;
     // One fused pass: retire due timers, remember the earliest pending
@@ -253,16 +312,16 @@ Core::completeAndRecover()
     // (post-completion) state, so fusing the two historical loops
     // cannot change which branch recovers.
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t f = rob_.flags(i);
+        std::uint8_t f = t.rob.flags(i);
         constexpr std::uint8_t timerCare = robflags::kIssued |
                                            robflags::kCompleted |
                                            robflags::kMemPending;
         if ((f & timerCare) == robflags::kIssued) {
-            const Cycle ready = rob_.readyCycle(i);
+            const Cycle ready = t.rob.readyCycle(i);
             if (ready <= now) {
                 f |= robflags::kCompleted;
-                rob_.flags(i) = f;
-                --execPending_;
+                t.rob.flags(i) = f;
+                --t.execPending;
             } else if (ready < next) {
                 next = ready;
             }
@@ -272,178 +331,193 @@ Core::completeAndRecover()
                                              robflags::kRecovered;
         if (recover == RobRing::npos &&
             (f & recoverCare) == robflags::kCompleted) {
-            const MicroOp &op = rob_.op(i);
+            const MicroOp &op = t.rob.op(i);
             if (op.cls == OpClass::Branch && op.mispredicted)
                 recover = i;
         }
     }
-    nextTimerCycle_ = next;
+    t.nextTimerCycle = next;
     // Mispredict recovery: the oldest resolved, unrecovered branch
     // squashes everything younger and redirects the front end.
     if (recover != RobRing::npos) {
-        rob_.flags(recover) |= robflags::kRecovered;
+        t.rob.flags(recover) |= robflags::kRecovered;
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle completes no branch, so no mispredict can accrue while skipping
-        ++stats_.mispredicts;
-        squashAfter(rob_.seqAt(recover));
+        ++t.stats.mispredicts;
+        squashAfter(t, t.rob.seqAt(recover));
     }
 }
 
 void
-Core::squashAfter(SeqNum branch_seq)
+Core::squashAfter(Thread &t, SeqNum branch_seq)
 {
-    while (!rob_.empty() && rob_.backSeq() > branch_seq) {
-        const std::size_t i = rob_.size() - 1;
-        const std::uint8_t f = rob_.flags(i);
-        if (f & robflags::kInIq)
-            --iqCount_;
+    while (!t.rob.empty() && t.rob.backSeq() > branch_seq) {
+        const std::size_t i = t.rob.size() - 1;
+        const std::uint8_t f = t.rob.flags(i);
+        if (f & robflags::kInIq) {
+            --t.iqCount;
+            --iqInUse_;
+        }
         if ((f & (robflags::kIssued | robflags::kCompleted)) ==
             robflags::kIssued) {
             if (f & robflags::kMemPending)
-                --memPendingCount_;
+                --t.memPendingCount;
             else
-                --execPending_;
+                --t.execPending;
         }
-        const MicroOp &op = rob_.op(i);
+        const MicroOp &op = t.rob.op(i);
         if (op.cls == OpClass::Load)
-            --lqCount_;
+            --t.lqCount;
         if (op.hasDest) {
             if (isFloatOp(op.cls))
-                ++fpRegsFree_;
+                ++t.fpRegsFree;
             else
-                ++intRegsFree_;
+                ++t.intRegsFree;
         }
         // spburst-lint: ff-exempt -- event-count stat: squashes only follow branch completions, which a quiescent cycle has none of
-        ++stats_.squashedUops;
-        rob_.popBack();
+        ++t.stats.squashedUops;
+        t.rob.popBack();
     }
-    sb_.squashFrom(branch_seq + 1);
-    fetchPipe_.clear();
-    wrongPathMode_ = false;
+    t.sb.squashFrom(branch_seq + 1);
+    t.fetchPipe.clear();
+    t.wrongPathMode = false;
     // Reuse the squashed uops' sequence numbers: the ROB's seq range
     // must stay contiguous for O(1) lookup. Stale memory callbacks are
     // fended off by the per-entry token.
-    nextSeq_ = branch_seq + 1;
+    t.nextSeq = branch_seq + 1;
 }
 
 void
 Core::commitStage()
 {
-    unsigned n = 0;
-    while (n < p_.commitWidth && !rob_.empty()) {
-        const std::uint8_t f = rob_.flags(0);
-        if (!(f & robflags::kCompleted))
-            break;
-        const SeqNum seq = rob_.frontSeq();
-        SPB_ASSERT(!(f & robflags::kWrongPath),
+    const int nt = threads();
+    unsigned budget = p_.commitWidth;
+    for (int tid = rotate_, idle = 0; budget > 0 && idle < nt;
+         tid = nextTurn(tid, nt)) {
+        Thread &t = threads_[tid];
+        if (t.rob.empty() || !(t.rob.flags(0) & robflags::kCompleted)) {
+            ++idle;
+            continue;
+        }
+        idle = 0;
+        const SeqNum seq = t.rob.frontSeq();
+        SPB_ASSERT(!(t.rob.flags(0) & robflags::kWrongPath),
                    "wrong-path uop reached commit");
-        SPBURST_CHECK(Pipeline, commitOrder_.observe(seq),
+        SPBURST_CHECK(Pipeline, t.commitOrder.observe(seq),
                       "ROB committed %llu after %llu (out of order)",
                       static_cast<unsigned long long>(seq),
                       static_cast<unsigned long long>(
-                          commitOrder_.last()));
-        const MicroOp &op = rob_.op(0);
+                          t.commitOrder.last()));
+        const MicroOp &op = t.rob.op(0);
         switch (op.cls) {
           case OpClass::Store:
-            sb_.markSenior(seq);
+            t.sb.markSenior(seq);
             // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedStores;
+            ++t.stats.committedStores;
             break;
           case OpClass::Load:
-            --lqCount_;
+            --t.lqCount;
             // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedLoads;
+            ++t.stats.committedLoads;
             break;
           case OpClass::Branch:
             // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedBranches;
+            ++t.stats.committedBranches;
             break;
           default:
             break;
         }
         if (op.hasDest) {
             if (isFloatOp(op.cls))
-                ++fpRegsFree_;
+                ++t.fpRegsFree;
             else
-                ++intRegsFree_;
+                ++t.intRegsFree;
         }
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-        ++stats_.committedUops;
-        rob_.popFront();
-        ++n;
+        ++t.stats.committedUops;
+        t.rob.popFront();
+        --budget;
     }
 }
 
 void
-Core::startLoad(std::size_t i)
+Core::startLoad(Thread &t, std::size_t i)
 {
     const Cycle now = clock_->now;
-    const MicroOp &op = rob_.op(i);
-    const SeqNum seq = rob_.seqAt(i);
+    const MicroOp &op = t.rob.op(i);
+    const SeqNum seq = t.rob.seqAt(i);
     // Address generation includes translation: a DTLB miss delays the
     // access by the page-walk latency.
-    const Cycle walk = dtlb_.access(op.addr);
-    if (sb_.forwards(seq, op.addr, op.size) != kInvalidSeqNum) {
-        rob_.readyCycle(i) = now + walk + kL1HitLatency; // fwd ~ L1 hit
+    const Cycle walk = t.dtlb.access(op.addr);
+    const SeqNum fwd = t.sb.forwards(seq, op.addr, op.size);
+    if (fwd != kInvalidSeqNum) {
+        t.rob.readyCycle(i) = now + walk + kL1HitLatency; // fwd ~ L1 hit
+        recordLoadObserved(t, i, t.rob.readyCycle(i), fwd);
         return;
     }
     if (!l1d_) {
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
-        ++stats_.loadsToL1;
-        rob_.readyCycle(i) = now + walk + kL1HitLatency; // detached mode
+        ++t.stats.loadsToL1;
+        t.rob.readyCycle(i) = now + walk + kL1HitLatency; // detached mode
+        recordLoadObserved(t, i, t.rob.readyCycle(i), kInvalidSeqNum);
         return;
     }
-    rob_.flags(i) |= robflags::kMemPending;
-    ++memPendingCount_;
-    const std::uint64_t token = rob_.token(i);
+    t.rob.flags(i) |= robflags::kMemPending;
+    ++t.memPendingCount;
+    const int tid = t.tid;
+    const std::uint64_t token = t.rob.token(i);
     if (walk == 0) {
-        issueLoadToL1(seq, token);
+        issueLoadToL1(tid, seq, token);
         return;
     }
-    clock_->events.schedule(now + walk, [this, seq, token] {
-        issueLoadToL1(seq, token);
+    clock_->events.schedule(now + walk, [this, tid, seq, token] {
+        issueLoadToL1(tid, seq, token);
     });
 }
 
 void
-Core::issueLoadToL1(SeqNum seq, std::uint64_t token)
+Core::issueLoadToL1(int tid, SeqNum seq, std::uint64_t token)
 {
-    const std::size_t i = rob_.indexOf(seq);
-    if (i == RobRing::npos || rob_.token(i) != token ||
-        !(rob_.flags(i) & robflags::kMemPending))
+    Thread &t = threads_[tid];
+    const std::size_t i = t.rob.indexOf(seq);
+    if (i == RobRing::npos || t.rob.token(i) != token ||
+        !(t.rob.flags(i) & robflags::kMemPending))
         return; // squashed while the page walk was in flight
-    ++stats_.loadsToL1;
-    const bool wrong_path = (rob_.flags(i) & robflags::kWrongPath) != 0;
+    ++t.stats.loadsToL1;
+    const bool wrong_path = (t.rob.flags(i) & robflags::kWrongPath) != 0;
     if (wrong_path)
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
-        ++stats_.wrongPathLoadsIssued;
-    const MicroOp &op = rob_.op(i);
+        ++t.stats.wrongPathLoadsIssued;
+    const MicroOp &op = t.rob.op(i);
     MemRequest req;
     req.cmd = MemCmd::ReadReq;
     req.blockAddr = blockAlign(op.addr);
     req.core = coreId_;
     req.region = op.region;
     req.wrongPath = wrong_path;
-    l1d_->issueLoad(req, [this, seq, token] {
-        const std::size_t j = rob_.indexOf(seq);
-        if (j == RobRing::npos || rob_.token(j) != token ||
-            !(rob_.flags(j) & robflags::kMemPending))
+    l1d_->issueLoad(req, [this, tid, seq, token] {
+        Thread &th = threads_[tid];
+        const std::size_t j = th.rob.indexOf(seq);
+        if (j == RobRing::npos || th.rob.token(j) != token ||
+            !(th.rob.flags(j) & robflags::kMemPending))
             return; // squashed (and possibly re-used) in the meantime
-        std::uint8_t &f = rob_.flags(j);
+        std::uint8_t &f = th.rob.flags(j);
         f = static_cast<std::uint8_t>(
             (f & ~robflags::kMemPending) | robflags::kCompleted);
-        --memPendingCount_;
-        rob_.readyCycle(j) = clock_->now;
+        --th.memPendingCount;
+        th.rob.readyCycle(j) = clock_->now;
+        recordLoadObserved(th, j, clock_->now, kInvalidSeqNum);
     });
 }
 
 void
-Core::execStore(std::size_t i)
+Core::execStore(Thread &t, std::size_t i)
 {
-    const MicroOp &op = rob_.op(i);
-    const SeqNum seq = rob_.seqAt(i);
-    sb_.setAddress(seq, op.addr, op.size);
+    const MicroOp &op = t.rob.op(i);
+    const SeqNum seq = t.rob.seqAt(i);
+    t.sb.setAddress(seq, op.addr, op.size);
     // Stores translate at address generation too.
-    rob_.readyCycle(i) = clock_->now + p_.aguLat + dtlb_.access(op.addr);
+    t.rob.readyCycle(i) =
+        clock_->now + p_.aguLat + t.dtlb.access(op.addr);
     const StorePrefetchPolicy policy =
         config_.idealSb ? StorePrefetchPolicy::AtCommit : config_.policy;
     if (policy == StorePrefetchPolicy::AtExecute && l1d_) {
@@ -459,97 +533,138 @@ Core::execStore(std::size_t i)
 }
 
 void
+Core::recordLoadObserved(const Thread &t, std::size_t i, Cycle cycle,
+                         SeqNum forwardedFrom)
+{
+    if (!eventLog_ || (t.rob.flags(i) & robflags::kWrongPath))
+        return;
+    check::MemEvent ev;
+    ev.kind = check::MemEvent::Kind::LoadObserved;
+    ev.thread = t.tid;
+    ev.seq = t.rob.seqAt(i);
+    ev.addr = t.rob.op(i).addr;
+    ev.size = t.rob.op(i).size;
+    ev.cycle = cycle;
+    ev.forwardedFrom = forwardedFrom;
+    eventLog_->record(ev);
+}
+
+void
 Core::issueStage()
 {
-    const Cycle now = clock_->now;
-    unsigned issued = 0;
-    unsigned int_used = 0, fp_used = 0, mem_used = 0;
-
-    // Nothing is waiting to issue; skip the ROB scan entirely.
-    if (iqCount_ != 0) {
-        const std::size_t n = rob_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (issued >= p_.issueWidth)
-                break;
-            if (!(rob_.flags(i) & robflags::kInIq) || !sourcesReady(i))
-                continue;
-            const OpClass cls = rob_.op(i).cls;
-            if (isMemOp(cls)) {
-                if (mem_used >= p_.memPorts)
-                    continue;
-            } else if (isFloatOp(cls)) {
-                if (fp_used >= p_.fpAluCount ||
-                    int_used + fp_used >= p_.intAluCount)
-                    continue;
-            } else {
-                if (int_used + fp_used >= p_.intAluCount)
-                    continue;
-            }
-
-            rob_.flags(i) = static_cast<std::uint8_t>(
-                (rob_.flags(i) & ~robflags::kInIq) | robflags::kIssued);
-            --iqCount_;
-            rob_.issuedAt(i) = now;
-            ++issued;
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
-            ++stats_.issuedUops;
-
-            if (cls == OpClass::Load) {
-                ++mem_used;
-                startLoad(i);
-            } else if (cls == OpClass::Store) {
-                ++mem_used;
-                execStore(i);
-            } else if (isFloatOp(cls)) {
-                ++fp_used;
-                rob_.readyCycle(i) = now + p_.opLatency(cls);
-            } else {
-                ++int_used;
-                rob_.readyCycle(i) = now + p_.opLatency(cls);
-            }
-            // Everything but a load that went to memory completes by
-            // timer; track the earliest such timer for the scan gate.
-            if (!(rob_.flags(i) & robflags::kMemPending)) {
-                ++execPending_;
-                if (rob_.readyCycle(i) < nextTimerCycle_)
-                    nextTimerCycle_ = rob_.readyCycle(i);
-            }
-        }
+    // Oldest-first within a thread. A thread's ROB scan resumes after
+    // its last issue: an entry passed over this cycle stays unissuable
+    // (its producers are older uops of the same thread, and the ports
+    // only fill up).
+    const int nt = threads();
+    std::size_t from[kMaxThreads] = {};
+    IssueSlots slots;
+    for (int tid = rotate_, idle = 0;
+         slots.issued < p_.issueWidth && idle < nt;
+         tid = nextTurn(tid, nt)) {
+        // A thread with nothing in the IQ skips the scan entirely.
+        Thread &t = threads_[tid];
+        if (t.iqCount != 0 && issueNext(t, from[tid], slots))
+            idle = 0;
+        else
+            ++idle;
     }
+    if (slots.issued != 0)
+        return;
 
-    if (issued == 0 && !rob_.empty()) {
-        ++stats_.noIssueCycles;
-        if (memPendingCount_ != 0) {
-            const std::size_t n = rob_.size();
-            for (std::size_t i = 0; i < n; ++i) {
-                constexpr std::uint8_t want = robflags::kMemPending;
-                constexpr std::uint8_t care =
-                    robflags::kMemPending | robflags::kWrongPath;
-                if ((rob_.flags(i) & care) == want &&
-                    now > rob_.issuedAt(i) + kL1HitLatency) {
-                    ++stats_.execStallL1dPending;
-                    break;
-                }
+    const Cycle now = clock_->now;
+    for (Thread &t : threads_) {
+        if (t.rob.empty())
+            continue;
+        ++t.stats.noIssueCycles;
+        if (t.memPendingCount == 0)
+            continue;
+        const std::size_t n = t.rob.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            constexpr std::uint8_t want = robflags::kMemPending;
+            constexpr std::uint8_t care =
+                robflags::kMemPending | robflags::kWrongPath;
+            if ((t.rob.flags(i) & care) == want &&
+                now > t.rob.issuedAt(i) + kL1HitLatency) {
+                ++t.stats.execStallL1dPending;
+                break;
             }
         }
     }
 }
 
-StallResource
-Core::dispatchBlocker(const FetchedUop &f) const
+bool
+Core::issueNext(Thread &t, std::size_t &from, IssueSlots &slots)
 {
-    if (rob_.size() >= p_.robSize)
+    const Cycle now = clock_->now;
+    const std::size_t n = t.rob.size();
+    for (std::size_t i = from; i < n; ++i) {
+        if (!(t.rob.flags(i) & robflags::kInIq) || !sourcesReady(t, i))
+            continue;
+        const OpClass cls = t.rob.op(i).cls;
+        if (isMemOp(cls)) {
+            if (slots.memUsed >= p_.memPorts)
+                continue;
+        } else if (isFloatOp(cls)) {
+            if (slots.fpUsed >= p_.fpAluCount ||
+                slots.intUsed + slots.fpUsed >= p_.intAluCount)
+                continue;
+        } else {
+            if (slots.intUsed + slots.fpUsed >= p_.intAluCount)
+                continue;
+        }
+
+        t.rob.flags(i) = static_cast<std::uint8_t>(
+            (t.rob.flags(i) & ~robflags::kInIq) | robflags::kIssued);
+        --t.iqCount;
+        --iqInUse_;
+        t.rob.issuedAt(i) = now;
+        ++slots.issued;
+        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
+        ++t.stats.issuedUops;
+
+        if (cls == OpClass::Load) {
+            ++slots.memUsed;
+            startLoad(t, i);
+        } else if (cls == OpClass::Store) {
+            ++slots.memUsed;
+            execStore(t, i);
+        } else if (isFloatOp(cls)) {
+            ++slots.fpUsed;
+            t.rob.readyCycle(i) = now + p_.opLatency(cls);
+        } else {
+            ++slots.intUsed;
+            t.rob.readyCycle(i) = now + p_.opLatency(cls);
+        }
+        // Everything but a load that went to memory completes by
+        // timer; track the earliest such timer for the scan gate.
+        if (!(t.rob.flags(i) & robflags::kMemPending)) {
+            ++t.execPending;
+            if (t.rob.readyCycle(i) < t.nextTimerCycle)
+                t.nextTimerCycle = t.rob.readyCycle(i);
+        }
+        from = i + 1;
+        return true;
+    }
+    from = n;
+    return false;
+}
+
+StallResource
+Core::dispatchBlocker(const Thread &t, const FetchedUop &f) const
+{
+    if (t.rob.size() >= robPerThread_)
         return StallResource::Rob;
-    if (iqCount_ >= p_.iqSize)
+    if (iqInUse_ >= p_.iqSize)
         return StallResource::Iq;
-    if (f.op.cls == OpClass::Load && lqCount_ >= p_.lqSize)
+    if (f.op.cls == OpClass::Load && t.lqCount >= lqPerThread_)
         return StallResource::Lq;
-    if (f.op.cls == OpClass::Store && sb_.full())
+    if (f.op.cls == OpClass::Store && t.sb.full())
         return StallResource::Sb;
     if (f.op.hasDest) {
-        if (isFloatOp(f.op.cls) && fpRegsFree_ == 0)
+        if (isFloatOp(f.op.cls) && t.fpRegsFree == 0)
             return StallResource::Regs;
-        if (!isFloatOp(f.op.cls) && intRegsFree_ == 0)
+        if (!isFloatOp(f.op.cls) && t.intRegsFree == 0)
             return StallResource::Regs;
     }
     return StallResource::None;
@@ -559,67 +674,82 @@ void
 Core::dispatchStage()
 {
     const Cycle now = clock_->now;
-    unsigned dispatched = 0;
-    while (dispatched < p_.dispatchWidth && !fetchPipe_.empty()) {
-        FetchedUop &f = fetchPipe_.front();
-        if (now < f.fetchCycle + p_.frontEndDepth)
-            break; // still traversing the front end
-        const StallResource blocker = dispatchBlocker(f);
+    unsigned budget = p_.dispatchWidth;
+    const int nt = threads();
+    std::uint32_t stalled = 0; //!< bit per thread: stall charged
+    for (int tid = rotate_, idle = 0; budget > 0 && idle < nt;
+         tid = nextTurn(tid, nt)) {
+        Thread &t = threads_[tid];
+        const std::uint32_t bit = 1u << tid;
+        // An empty pipe or a head still traversing the front end.
+        if ((stalled & bit) != 0 || t.fetchPipe.empty() ||
+            now < t.fetchPipe.front().fetchCycle + p_.frontEndDepth) {
+            ++idle;
+            continue;
+        }
+        FetchedUop &f = t.fetchPipe.front();
+        const StallResource blocker = dispatchBlocker(t, f);
         if (blocker != StallResource::None) {
-            if (dispatched == 0) {
-                ++stats_.dispatchStalls[static_cast<int>(blocker)];
+            stalled |= bit;
+            ++idle;
+            // One thread charges a stall only to a cycle that dispatched
+            // nothing. Several threads each charge their first stall of
+            // the cycle, dispatched or not — the SMT model's
+            // attribution, kept so its results stay put.
+            if (nt > 1 || budget == p_.dispatchWidth) {
+                ++t.stats.dispatchStalls[static_cast<int>(blocker)];
                 if (blocker == StallResource::Sb) {
-                    ++stats_.sbStallsByRegion[static_cast<int>(
-                        sb_.headRegion())];
+                    ++t.stats.sbStallsByRegion[static_cast<int>(
+                        t.sb.headRegion())];
                 }
             }
-            break;
+            continue;
         }
+        idle = 0;
 
-        const SeqNum seq = nextSeq_++;
-        const std::size_t i = rob_.pushBack(seq, nextToken_++);
-        rob_.op(i) = f.op;
-        rob_.flags(i) = static_cast<std::uint8_t>(
-            robflags::kInIq |
-            (f.wrongPath ? robflags::kWrongPath : 0));
+        const SeqNum seq = t.nextSeq++;
+        const std::size_t i = t.rob.pushBack(seq, t.nextToken++);
+        t.rob.op(i) = f.op;
+        t.rob.flags(i) = static_cast<std::uint8_t>(
+            robflags::kInIq | (f.wrongPath ? robflags::kWrongPath : 0));
         auto to_seq = [seq](std::uint8_t dist) {
-            return dist == 0 || seq <= dist ? kInvalidSeqNum
-                                            : seq - dist;
+            return dist == 0 || seq <= dist ? kInvalidSeqNum : seq - dist;
         };
-        rob_.src1(i) = to_seq(f.op.srcDist1);
-        rob_.src2(i) = to_seq(f.op.srcDist2);
-        ++iqCount_;
+        t.rob.src1(i) = to_seq(f.op.srcDist1);
+        t.rob.src2(i) = to_seq(f.op.srcDist2);
+        ++t.iqCount;
+        ++iqInUse_;
         if (f.op.cls == OpClass::Load)
-            ++lqCount_;
+            ++t.lqCount;
         if (f.op.cls == OpClass::Store)
-            sb_.allocate(seq, f.op.region, f.wrongPath);
+            t.sb.allocate(seq, f.op.region, f.wrongPath);
         if (f.op.hasDest) {
             if (isFloatOp(f.op.cls))
-                --fpRegsFree_;
+                --t.fpRegsFree;
             else
-                --intRegsFree_;
+                --t.intRegsFree;
         }
-        fetchPipe_.popFront();
-        ++dispatched;
+        t.fetchPipe.popFront();
+        --budget;
     }
 }
 
 MicroOp
-Core::synthesizeWrongPath()
+Core::synthesizeWrongPath(Thread &t)
 {
-    const std::uint64_t r = rng_.below(100);
-    const std::uint64_t pc = 0x00660000 + rng_.below(64) * 4;
+    const std::uint64_t r = t.rng.below(100);
+    const std::uint64_t pc = 0x00660000 + t.rng.below(64) * 4;
     if (r < 55)
         return uops::alu(pc, 1);
     // Wrong-path memory ops wander around the recently touched data
     // (+-1 MiB): close enough to pollute the caches, too scattered to
     // act as a useful prefetcher for the correct path.
-    auto wander = [this] {
+    auto wander = [&t] {
         const Addr span = 2ULL << 20;
-        const Addr off = rng_.below(span);
-        const Addr base = lastDataAddr_ > (span / 2)
-                              ? lastDataAddr_ - span / 2
-                              : lastDataAddr_;
+        const Addr off = t.rng.below(span);
+        const Addr base = t.lastDataAddr > (span / 2)
+                              ? t.lastDataAddr - span / 2
+                              : t.lastDataAddr;
         return (base + off) & ~Addr{7};
     };
     if (r < 80)
@@ -633,30 +763,38 @@ void
 Core::fetchStage()
 {
     const Cycle now = clock_->now;
-    for (unsigned i = 0;
-         i < p_.fetchWidth && fetchPipe_.size() < p_.fetchBufferUops;
-         ++i) {
+    const int nt = threads();
+    unsigned budget = p_.fetchWidth;
+    for (int tid = rotate_, idle = 0; budget > 0 && idle < nt;
+         tid = nextTurn(tid, nt)) {
+        Thread &t = threads_[tid];
+        // An exhausted fetch budget blocks correct-path fetch only.
+        if (t.fetchPipe.size() >= fetchBufPerThread_ ||
+            (!t.wrongPathMode && fetchBudget_ == 0)) {
+            ++idle;
+            continue;
+        }
+        idle = 0;
         FetchedUop f;
         f.fetchCycle = now;
-        f.wrongPath = wrongPathMode_;
-        if (wrongPathMode_) {
-            f.op = synthesizeWrongPath();
+        f.wrongPath = t.wrongPathMode;
+        if (t.wrongPathMode) {
+            f.op = synthesizeWrongPath(t);
             // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
-            ++stats_.wrongPathFetched;
+            ++t.stats.wrongPathFetched;
         } else {
-            if (fetchBudget_ == 0)
-                break;
             if (fetchBudget_ != kUnlimitedFetchBudget)
                 --fetchBudget_;
-            f.op = trace_->next();
+            f.op = t.trace->next();
             if (isMemOp(f.op.cls))
-                lastDataAddr_ = f.op.addr;
+                t.lastDataAddr = f.op.addr;
             if (f.op.cls == OpClass::Branch && f.op.mispredicted)
-                wrongPathMode_ = true;
+                t.wrongPathMode = true;
         }
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
-        ++stats_.fetchedUops;
-        fetchPipe_.pushBack(std::move(f));
+        ++t.stats.fetchedUops;
+        t.fetchPipe.pushBack(std::move(f));
+        --budget;
     }
 }
 

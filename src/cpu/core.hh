@@ -13,6 +13,17 @@
  * mispredicted branch and its resolution (wrong-path loads really
  * access the L1D; wrong-path stores really occupy SB entries — the
  * at-execute policy really prefetches for them).
+ *
+ * Given T traces the core runs T simultaneous hardware threads (the
+ * paper's Sec. I motivation: SMT processors statically partition the
+ * SB, so each of T threads sees SB/T entries). The threads share
+ * fetch/dispatch/issue/commit width, the issue queue, the functional
+ * units, the memory ports and the L1D, taking turns from a rotating
+ * priority pointer; the ROB, load queue, physical registers, fetch
+ * buffer and store buffer are statically partitioned per thread, as in
+ * Intel's implementation (optimization manual Sec. 2.6.9). Each thread
+ * has its own DTLB and SPB engine — the 67-bit detector is cheap enough
+ * to replicate per thread.
  */
 
 #pragma once
@@ -20,7 +31,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
+#include "check/event_log.hh"
 #include "check/invariants.hh"
 #include "common/clock.hh"
 #include "common/rng.hh"
@@ -57,6 +70,9 @@ inline constexpr std::uint64_t kUnlimitedFetchBudget =
 
 /** Human-readable resource name. */
 const char *stallResourceName(StallResource r);
+
+/** Most hardware threads one core runs. */
+inline constexpr int kMaxThreads = 8;
 
 /** Per-core statistics. */
 struct CoreStats
@@ -117,19 +133,21 @@ struct CoreConfig
     bool coalescingSb = false;
 };
 
-/** One out-of-order core. */
+/** One out-of-order core running one or more hardware threads. */
 class Core
 {
   public:
     /**
-     * @param config Core configuration.
+     * @param config  Core configuration; queue sizes are the core's
+     *                totals (Table I), partitioned among the threads.
      * @param core_id Core index within the system.
-     * @param clock  Shared clock.
-     * @param l1d    This core's L1D controller.
-     * @param trace  Correct-path uop stream (not owned).
+     * @param clock   Shared clock.
+     * @param l1d     This core's L1D controller (shared by its threads).
+     * @param traces  One correct-path uop stream per hardware thread
+     *                (not owned); their count is the thread count.
      */
     Core(const CoreConfig &config, int core_id, SimClock *clock,
-         CacheController *l1d, TraceSource *trace);
+         CacheController *l1d, std::vector<TraceSource *> traces);
 
     /** Simulate one cycle (memory events for the cycle already ran). */
     // spburst-lint: hot
@@ -140,7 +158,8 @@ class Core
      * micro-architectural state this cycle — every stage is blocked on
      * an in-flight memory event, so a tick would only accrue per-cycle
      * stall/occupancy statistics. The system uses this to fast-forward
-     * straight to the next scheduled event.
+     * straight to the next scheduled event. Always false with more
+     * than one thread: nothing fast-forwards an SMT core.
      */
     bool quiescent() const;
 
@@ -159,7 +178,7 @@ class Core
      * the core drains). Wrong-path fetch is unaffected — a mispredicted
      * branch at the end of a window still resolves normally. The
      * default budget is unlimited, which leaves every non-sampled code
-     * path untouched.
+     * path untouched. The budget is shared by all threads.
      */
     void setFetchBudget(std::uint64_t uops) { fetchBudget_ = uops; }
 
@@ -167,97 +186,182 @@ class Core
     std::uint64_t fetchBudget() const { return fetchBudget_; }
 
     /** True when the core holds no in-flight work at all: front-end
-     *  pipe, ROB and SB empty, nothing pending in the memory system.
+     *  pipes, ROBs and SBs empty, nothing pending in the memory system.
      *  With an exhausted fetch budget this is the end-of-window state
      *  the sampling loop waits for. */
     bool drained() const;
 
-    /** Transplant functionally-warmed architectural state (sampling):
-     *  TLB entries, and — when SPB is enabled — detector registers.
-     *  Statistics are untouched. */
+    /** Transplant functionally-warmed architectural state into thread
+     *  0 (sampling): TLB entries, and — when SPB is enabled — detector
+     *  registers. Statistics are untouched. */
     void restoreWarmState(const TlbSnapshot &tlb,
                           const SpbDetectorState *detector);
 
-    std::uint64_t committed() const { return stats_.committedUops; }
-    const CoreStats &stats() const { return stats_; }
-    const StoreBuffer &storeBuffer() const { return sb_; }
-    const Tlb &dtlb() const { return dtlb_; }
-    const SpbEngine *spbEngine() const { return spb_.get(); }
+    /**
+     * Attach a litmus event log: store drains and load completions of
+     * every hardware thread are recorded as globally ordered MemEvents
+     * (used by tests/litmus/; null in normal runs).
+     */
+    void setEventLog(check::EventLog *log);
+
+    /** Hardware thread count (the number of traces). */
+    int threads() const { return static_cast<int>(threads_.size()); }
+
+    std::uint64_t
+    committed(int tid = 0) const
+    {
+        return threads_[tid].stats.committedUops;
+    }
+
+    /** Smallest committed count over threads (run-completion check). */
+    std::uint64_t minCommitted() const;
+
+    const CoreStats &stats(int tid = 0) const
+    {
+        return threads_[tid].stats;
+    }
+    const StoreBuffer &storeBuffer(int tid = 0) const
+    {
+        return threads_[tid].sb;
+    }
+    const Tlb &dtlb(int tid = 0) const { return threads_[tid].dtlb; }
+    const SpbEngine *spbEngine(int tid = 0) const
+    {
+        return threads_[tid].spb.get();
+    }
     const CoreConfig &config() const { return config_; }
 
-    /** Effective SB capacity (after the ideal-SB override). */
-    unsigned effectiveSbSize() const { return sb_.capacity(); }
+    /** Effective per-thread SB capacity (after partitioning and the
+     *  ideal-SB override). */
+    unsigned effectiveSbSize() const { return threads_[0].sb.capacity(); }
 
   private:
+    /** One hardware thread's private pipeline state. */
+    struct Thread
+    {
+        Thread(int id, TraceSource *src, std::uint64_t rng_seed,
+               unsigned sb_entries, CacheController *l1d, int core_id,
+               const TlbParams &tlb_params)
+            : tid(id), trace(src), rng(rng_seed),
+              sb(sb_entries, l1d, core_id), dtlb(tlb_params)
+        {
+        }
+
+        int tid; //!< index within the core
+        TraceSource *trace;
+        Rng rng; //!< wrong-path synthesis
+
+        FetchRing fetchPipe;
+        RobRing rob;
+        StoreBuffer sb;
+        Tlb dtlb;
+        std::unique_ptr<SpbEngine> spb;
+
+        SeqNum nextSeq = 1;
+        std::uint64_t nextToken = 1;
+        unsigned iqCount = 0; //!< this thread's share of the shared IQ
+        unsigned lqCount = 0;
+        /** Issued, not completed, not waiting on memory: these complete
+         *  by timer (readyCycle), so the core is never quiescent while
+         *  > 0. */
+        unsigned execPending = 0;
+        /** Lower bound on the earliest pending timer completion; gates
+         *  the completion scan (squash can leave it stale-low, which
+         *  only costs one empty scan that recomputes it). */
+        Cycle nextTimerCycle = kNeverCycle;
+        /** ROB entries with a load in flight to the L1D (wrong path
+         *  included); gates the exec-stall statistic scan. */
+        unsigned memPendingCount = 0;
+        unsigned intRegsFree = 0;
+        unsigned fpRegsFree = 0;
+        bool wrongPathMode = false;
+        Addr lastDataAddr = 0x10000000;
+
+        check::InOrderChecker commitOrder; //!< ROB commits in order
+
+        CoreStats stats;
+    };
+
+    /** Functional units and memory ports taken in one issue cycle. */
+    struct IssueSlots
+    {
+        unsigned issued = 0;
+        unsigned intUsed = 0;
+        unsigned fpUsed = 0;
+        unsigned memUsed = 0;
+    };
+
+    // Pipeline stages. The shared ones (commit, issue, dispatch, fetch)
+    // give the threads turns from the rotating priority pointer, one uop
+    // per turn, and stop at their width or once every thread in a row
+    // had nothing to do: a thread with nothing to do in a stage stays
+    // so for the rest of the cycle, since the stage only consumes its
+    // resources.
+    void completeAndRecover(Thread &t);
     void commitStage();
-    void completeAndRecover();
     void issueStage();
     void dispatchStage();
     void fetchStage();
 
+    /** The thread whose turn follows thread @p tid's, of @p nt. */
+    static int
+    nextTurn(int tid, int nt)
+    {
+        return tid + 1 == nt ? 0 : tid + 1;
+    }
+
     /** True when producer @p seq has left the ROB or completed.
      *  kInvalidSeqNum (no dependence) maps to "done" via the same
      *  unsigned wrap that rejects committed/squashed seqs. */
-    bool
-    producerDone(SeqNum seq) const
+    static bool
+    producerDone(const Thread &t, SeqNum seq)
     {
-        const std::size_t i = rob_.indexOf(seq);
+        const std::size_t i = t.rob.indexOf(seq);
         return i == RobRing::npos ||
-               (rob_.flags(i) & robflags::kCompleted) != 0;
+               (t.rob.flags(i) & robflags::kCompleted) != 0;
     }
 
-    bool
-    sourcesReady(std::size_t i) const
+    static bool
+    sourcesReady(const Thread &t, std::size_t i)
     {
-        return producerDone(rob_.src1(i)) && producerDone(rob_.src2(i));
+        return producerDone(t, t.rob.src1(i)) &&
+               producerDone(t, t.rob.src2(i));
     }
 
-    void squashAfter(SeqNum branch_seq);
-    void startLoad(std::size_t i);
-    void issueLoadToL1(SeqNum seq, std::uint64_t token);
-    void execStore(std::size_t i);
-    MicroOp synthesizeWrongPath();
-    StallResource dispatchBlocker(const FetchedUop &f) const;
+    /** Issue @p t's oldest ready uop at ROB index @p from or later that
+     *  @p slots still has a unit for, and move @p from past it; false
+     *  when there is none. */
+    bool issueNext(Thread &t, std::size_t &from, IssueSlots &slots);
+    void squashAfter(Thread &t, SeqNum branch_seq);
+    void startLoad(Thread &t, std::size_t i);
+    void issueLoadToL1(int tid, SeqNum seq, std::uint64_t token);
+    void execStore(Thread &t, std::size_t i);
+    void recordLoadObserved(const Thread &t, std::size_t i, Cycle cycle,
+                            SeqNum forwardedFrom);
+    MicroOp synthesizeWrongPath(Thread &t);
+    StallResource dispatchBlocker(const Thread &t,
+                                  const FetchedUop &f) const;
 
     CoreConfig config_;
     CoreParams p_; //!< shorthand for config_.params
     int coreId_;
     SimClock *clock_;
     CacheController *l1d_;
-    TraceSource *trace_;
-    Rng rng_;
 
-    FetchRing fetchPipe_;
-    RobRing rob_;
-    StoreBuffer sb_;
-    Tlb dtlb_;
-    std::unique_ptr<SpbEngine> spb_;
+    /** Reserved up front and never grown: in-flight SB drain callbacks
+     *  point into the threads. */
+    std::vector<Thread> threads_;
+    // Per-thread shares of the partitioned structures.
+    unsigned robPerThread_;
+    unsigned lqPerThread_;
+    unsigned fetchBufPerThread_;
 
-    SeqNum nextSeq_ = 1;
-    std::uint64_t nextToken_ = 1;
-    unsigned iqCount_ = 0;
-    unsigned lqCount_ = 0;
-    /** Issued, not completed, not waiting on memory: these complete by
-     *  timer (readyCycle), so the core is never quiescent while > 0. */
-    unsigned execPending_ = 0;
-    /** Lower bound on the earliest pending timer completion; gates the
-     *  completion scan (squash can leave it stale-low, which only costs
-     *  one empty scan that recomputes it). */
-    Cycle nextTimerCycle_ = kNeverCycle;
-    /** ROB entries with a load in flight to the L1D (wrong path
-     *  included); gates the exec-stall statistic scan. */
-    unsigned memPendingCount_ = 0;
-    unsigned intRegsFree_;
-    unsigned fpRegsFree_;
-    bool wrongPathMode_ = false;
-    Addr lastDataAddr_ = 0x10000000;
-    /** Correct-path uops fetchStage may still pull from the trace;
-     *  kNeverCycle-like sentinel means unlimited (non-sampled runs). */
+    unsigned iqInUse_ = 0; //!< shared IQ occupancy, all threads
+    int rotate_ = 0;       //!< round-robin priority pointer
+    /** Correct-path uops fetchStage may still pull from the traces;
+     *  kUnlimitedFetchBudget means unlimited (non-sampled runs). */
     std::uint64_t fetchBudget_ = kUnlimitedFetchBudget;
-
-    check::InOrderChecker commitOrder_; //!< ROB commits in order
-
-    CoreStats stats_;
+    check::EventLog *eventLog_ = nullptr; //!< litmus-only event sink
 };
 
 } // namespace spburst

@@ -205,7 +205,8 @@ System::System(const SystemConfig &config)
         cc.idealSb = config_.idealSb;
         cc.coalescingSb = config_.coalescingSb;
         cores_.push_back(std::make_unique<Core>(
-            cc, t, &clock_, &mem_.l1d(t), traces_.back().get()));
+            cc, t, &clock_, &mem_.l1d(t),
+            std::vector<TraceSource *>{traces_.back().get()}));
     }
 
     // Per-run check-counter deltas: the experiment engine constructs

@@ -1,6 +1,6 @@
-// Fixture: ff-stat-parity must flag a stat written under the ff(tick)
-// tree but missing from the ff(skip) path, and an ff(tick) root whose
-// class has no ff(skip) counterpart at all.
+// Fixture: ff-stat-parity must flag a tick-tree stat missing from the
+// ff(skip) path (written via stats_ or a per-thread `lane.stats.x`) and
+// an ff(tick) root whose class has no ff(skip) counterpart at all.
 namespace fx
 {
 
@@ -46,6 +46,44 @@ class LoneTicker
 
   private:
     unsigned long cycles_ = 0;
+};
+
+struct LaneStats
+{
+    unsigned long cycles = 0;
+    unsigned long retired = 0;
+};
+
+struct Lane
+{
+    LaneStats stats;
+};
+
+class LanedUnit
+{
+  public:
+    // spburst-lint: ff(tick)
+    void tick()
+    {
+        Lane &lane = lanes_[0];
+        ++lane.stats.cycles;
+        retire(lane);
+    }
+
+    // spburst-lint: ff(skip)
+    void skipCycles(unsigned long n)
+    {
+        Lane &lane = lanes_[0];
+        lane.stats.cycles += n;
+    }
+
+  private:
+    void retire(Lane &lane)
+    {
+        ++lane.stats.retired;
+    }
+
+    Lane lanes_[2];
 };
 
 } // namespace fx

@@ -1,5 +1,6 @@
 // Fixture: full tick/skip stat parity plus a justified ff-exempt
-// write — ff-stat-parity must stay silent.
+// write, with stats_ members and with per-thread references —
+// ff-stat-parity must stay silent.
 namespace fx
 {
 
@@ -37,6 +38,45 @@ class DrainMeter
     }
 
     DrainStats stats_;
+};
+
+struct LaneStats
+{
+    unsigned long cycles = 0;
+    unsigned long retired = 0;
+};
+
+struct Lane
+{
+    LaneStats stats;
+};
+
+class LanedMeter
+{
+  public:
+    // spburst-lint: ff(tick)
+    void tick()
+    {
+        Lane &lane = lanes_[0];
+        ++lane.stats.cycles;
+        retire(lane);
+    }
+
+    // spburst-lint: ff(skip)
+    void skipCycles(unsigned long n)
+    {
+        Lane &lane = lanes_[0];
+        lane.stats.cycles += n;
+        lane.stats.retired += n;
+    }
+
+  private:
+    void retire(Lane &lane)
+    {
+        ++lane.stats.retired;
+    }
+
+    Lane lanes_[2];
 };
 
 } // namespace fx

@@ -1,6 +1,7 @@
 /**
  * @file
- * TSO litmus tests on the SMT core.
+ * TSO litmus tests on the out-of-order core, one hardware thread per
+ * litmus thread.
  *
  * The simulator is trace-driven and carries no data values, so litmus
  * outcomes are synthesized from the check::EventLog the core records:
@@ -23,7 +24,7 @@
 #include "check/check.hh"
 #include "check/event_log.hh"
 #include "common/clock.hh"
-#include "cpu/smt_core.hh"
+#include "cpu/core.hh"
 #include "mem/memory_system.hh"
 #include "trace/source.hh"
 
@@ -74,8 +75,10 @@ class LitmusTest : public ::testing::Test
         return head;
     }
 
-    /** Run @p progs (one per hardware thread) to completion and drain
-     *  every SB and the hierarchy, so all stores are visible. */
+    /** Run @p progs (one per hardware thread of one core) to
+     *  completion and drain every SB and the hierarchy, so all stores
+     *  are visible. A single program runs on the one-thread Core that
+     *  System drives. */
     void
     run(const std::vector<std::vector<MicroOp>> &progs)
     {
@@ -93,29 +96,28 @@ class LitmusTest : public ::testing::Test
                                                "litmus"));
             ptrs_.push_back(sources_.back().get());
         }
-        smt_ = std::make_unique<SmtCore>(CoreConfig{},
-                                         static_cast<int>(progs.size()),
-                                         &clock_, &mem_->l1d(0), ptrs_);
-        smt_->setEventLog(&log_);
+        core_ = std::make_unique<Core>(CoreConfig{}, 0, &clock_,
+                                      &mem_->l1d(0), ptrs_);
+        core_->setEventLog(&log_);
 
         const Cycle limit = clock_.now + 200'000;
         auto committed_all = [&] {
-            for (int t = 0; t < smt_->threads(); ++t)
-                if (smt_->committed(t) < lens_[t])
+            for (int t = 0; t < core_->threads(); ++t)
+                if (core_->committed(t) < lens_[t])
                     return false;
             return true;
         };
         auto drained = [&] {
             if (!clock_.events.empty())
                 return false;
-            for (int t = 0; t < smt_->threads(); ++t)
-                if (smt_->storeBuffer(t).size() != 0)
+            for (int t = 0; t < core_->threads(); ++t)
+                if (core_->storeBuffer(t).size() != 0)
                     return false;
             return true;
         };
         while ((!committed_all() || !drained()) && clock_.now < limit) {
             clock_.tick();
-            smt_->tick();
+            core_->tick();
         }
         ASSERT_TRUE(committed_all()) << "litmus program did not finish";
         ASSERT_TRUE(drained()) << "stores did not all become visible";
@@ -161,7 +163,7 @@ class LitmusTest : public ::testing::Test
     std::vector<std::unique_ptr<VectorSource>> sources_;
     std::vector<TraceSource *> ptrs_;
     std::vector<std::size_t> lens_;
-    std::unique_ptr<SmtCore> smt_;
+    std::unique_ptr<Core> core_;
 
   private:
     check::Level saved_;
@@ -170,29 +172,43 @@ class LitmusTest : public ::testing::Test
 TEST_F(LitmusTest, SameAddressForwarding)
 {
     // T0: St x; Ld x  — the load must observe its own thread's store,
-    // never the initial memory value (TSO read-own-write).
+    // never the initial memory value (TSO read-own-write). Runs alone
+    // and beside a second thread of no-ops sharing the pipeline.
     for (unsigned s : {0u, 1u, 3u}) {
-        run({concat(skew(s), {uops::store(0x10, kX), uops::load(0x14, kX)})});
-        const Observed o = observed(0, kX);
-        ASSERT_TRUE(o.fromStore) << "load missed its own store";
-        EXPECT_EQ(o.thread, 0);
-        const auto st = storesVisible(0, kX);
-        ASSERT_EQ(st.size(), 1u);
-        EXPECT_EQ(o.seq, st[0]->seq);
+        for (const bool companion : {false, true}) {
+            std::vector<std::vector<MicroOp>> progs{concat(
+                skew(s), {uops::store(0x10, kX), uops::load(0x14, kX)})};
+            if (companion)
+                progs.push_back(skew(8));
+            run(progs);
+            const Observed o = observed(0, kX);
+            ASSERT_TRUE(o.fromStore) << "load missed its own store";
+            EXPECT_EQ(o.thread, 0);
+            const auto st = storesVisible(0, kX);
+            ASSERT_EQ(st.size(), 1u);
+            EXPECT_EQ(o.seq, st[0]->seq);
+        }
     }
 }
 
 TEST_F(LitmusTest, CoWWDrainsInProgramOrder)
 {
     // Two same-address stores of one thread must become visible in
-    // program order (coherence order == program order, TSO CoWW).
-    run({{uops::store(0x10, kX), uops::alu(0x14),
-          uops::store(0x18, kX)}});
-    const auto st = storesVisible(0, kX);
-    ASSERT_EQ(st.size(), 2u);
-    EXPECT_LT(st[0]->seq, st[1]->seq);
-    EXPECT_LT(st[0]->cycle, st[1]->cycle)
-        << "younger same-address store became visible first";
+    // program order (coherence order == program order, TSO CoWW). Runs
+    // alone and beside a second thread of no-ops sharing the pipeline.
+    for (const bool companion : {false, true}) {
+        std::vector<std::vector<MicroOp>> progs{
+            {uops::store(0x10, kX), uops::alu(0x14),
+             uops::store(0x18, kX)}};
+        if (companion)
+            progs.push_back(skew(8));
+        run(progs);
+        const auto st = storesVisible(0, kX);
+        ASSERT_EQ(st.size(), 2u);
+        EXPECT_LT(st[0]->seq, st[1]->seq);
+        EXPECT_LT(st[0]->cycle, st[1]->cycle)
+            << "younger same-address store became visible first";
+    }
 }
 
 TEST_F(LitmusTest, MessagePassingForbiddenOutcomeNeverOccurs)
@@ -247,7 +263,7 @@ TEST_F(LitmusTest, StoreBufferingRelaxationIsVisible)
     // see the initial value (the store-buffering relaxation this whole
     // paper is about), and the harness must be able to exhibit it. To
     // make the window deterministic, each thread first warms the line
-    // the *other* thread will load (the L1D is shared across SMT
+    // the *other* thread will load (the L1D is shared across hardware
     // threads) plus its own DTLB entry for the page it loads from (the
     // DTLB is per-thread, so a same-page touch of a *different* block
     // keeps loadEvent() unique), and each store's data hangs off a

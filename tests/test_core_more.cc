@@ -27,8 +27,9 @@ class CoreMoreTest : public ::testing::Test
         mem = std::make_unique<MemorySystem>(MemSystemParams::tableI(1),
                                              &clock);
         trace = std::make_unique<VectorSource>(std::move(uops), loop);
-        core = std::make_unique<Core>(cfg, 0, &clock, &mem->l1d(0),
-                                      trace.get());
+        core = std::make_unique<Core>(
+            cfg, 0, &clock, &mem->l1d(0),
+            std::vector<TraceSource *>{trace.get()});
     }
 
     void

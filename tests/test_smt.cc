@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the SMT core: static partitioning, fairness, the paper's
- * motivating effect (per-thread SB pressure grows with thread count)
- * and SPB's rescue of it.
+ * Tests for a Core running several hardware threads: static
+ * partitioning, fairness, the paper's motivating effect (per-thread SB
+ * pressure grows with thread count), SPB's rescue of it, and
+ * byte-identity with the recorded results of the SMT model.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "common/clock.hh"
-#include "cpu/smt_core.hh"
+#include "cpu/core.hh"
 #include "mem/memory_system.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -21,7 +25,8 @@ namespace
 class SmtTest : public ::testing::Test
 {
   protected:
-    /** Build an SMT core running @p threads copies of @p workload. */
+    /** Build a core running @p threads copies of @p workload, thread
+     *  t on workload seed 1 + t. */
     void
     build(const std::string &workload, int threads,
           CoreConfig cfg = CoreConfig{})
@@ -35,8 +40,8 @@ class SmtTest : public ::testing::Test
                 buildWorkload(findProfile(workload), 1 + t, 0, 1));
             trace_ptrs.push_back(traces.back().get());
         }
-        smt = std::make_unique<SmtCore>(cfg, threads, &clock,
-                                        &mem->l1d(0), trace_ptrs);
+        smt = std::make_unique<Core>(cfg, 0, &clock, &mem->l1d(0),
+                                     trace_ptrs);
     }
 
     void
@@ -54,17 +59,17 @@ class SmtTest : public ::testing::Test
     std::unique_ptr<MemorySystem> mem;
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<TraceSource *> trace_ptrs;
-    std::unique_ptr<SmtCore> smt;
+    std::unique_ptr<Core> smt;
 };
 
 TEST_F(SmtTest, SbIsStaticallyPartitioned)
 {
     build("x264", 4);
-    EXPECT_EQ(smt->sbPerThread(), 14u) << "56 / 4 threads";
+    EXPECT_EQ(smt->effectiveSbSize(), 14u) << "56 / 4 threads";
     build("x264", 2);
-    EXPECT_EQ(smt->sbPerThread(), 28u);
+    EXPECT_EQ(smt->effectiveSbSize(), 28u);
     build("x264", 1);
-    EXPECT_EQ(smt->sbPerThread(), 56u);
+    EXPECT_EQ(smt->effectiveSbSize(), 56u);
 }
 
 TEST_F(SmtTest, AllThreadsMakeFairProgress)
@@ -85,9 +90,9 @@ TEST_F(SmtTest, AllThreadsMakeFairProgress)
 
 TEST_F(SmtTest, Smt1MatchesSingleThreadBallpark)
 {
-    // One hardware thread on the SMT core should behave like the
-    // plain Core within a modest factor (the arbitration adds a
-    // little overhead but no structural change).
+    // One hardware thread outside System should behave like the
+    // System-driven core within a modest factor (only the harness and
+    // the workload seed handling differ).
     build("cam4", 1);
     runUopsPerThread(20'000);
     const Cycle smt_cycles = clock.now;
@@ -170,6 +175,59 @@ TEST_F(SmtTest, WrongPathIsolatedPerThread)
         EXPECT_GT(smt->stats(t).mispredicts, 0u);
         EXPECT_GT(smt->stats(t).wrongPathFetched, 0u);
     }
+}
+
+/** One thread's CoreStats::toStatSet(), in order, at round-trip
+ *  precision, after a label naming the run. */
+std::string
+statLine(const std::string &label, int tid, const StatSet &stats)
+{
+    std::string line = label + " tid=" + std::to_string(tid);
+    for (const auto &[key, value] : stats.entries()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        line += " " + key + "=" + buf;
+    }
+    return line;
+}
+
+TEST_F(SmtTest, StatsMatchTheRecordedSmtModel)
+{
+    // tests/data/smt_golden.txt holds every thread's statistics from
+    // the dedicated SMT core model that Core replaced, recorded with
+    // this harness (workload seed 1 + tid, shared Table I hierarchy,
+    // run until every thread commits 10k uops). Any difference means
+    // multi-threaded results moved.
+    std::ifstream in(SPBURST_TEST_DATA "/smt_golden.txt");
+    ASSERT_TRUE(in) << "cannot open smt_golden.txt";
+    std::vector<std::string> want;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty() && line[0] != '#')
+            want.push_back(line);
+
+    std::vector<std::string> got;
+    for (const std::string w : {"x264", "bwaves", "dedup"}) {
+        for (const int threads : {2, 4}) {
+            if (w == "dedup" && threads == 4)
+                continue;
+            for (const bool spb : {false, true}) {
+                clock = SimClock{};
+                CoreConfig cfg;
+                cfg.useSpb = spb;
+                build(w, threads, cfg);
+                runUopsPerThread(10'000);
+                const std::string label =
+                    w + " threads=" + std::to_string(threads) +
+                    (spb ? " spb" : " at-commit");
+                for (int t = 0; t < threads; ++t)
+                    got.push_back(
+                        statLine(label, t, smt->stats(t).toStatSet()));
+            }
+        }
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
 }
 
 } // namespace
