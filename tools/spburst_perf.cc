@@ -12,21 +12,20 @@
  *   spburst_perf                           # suite=all, 200k uops each
  *   spburst_perf --uops=500000 --out=speed.json
  *   spburst_perf --scheduler=heap --no-fast-forward   # pre-PR hot path
+ *
+ * Host throughput is comparable only on one host: to compare two
+ * revisions, tools/simspeed_ab.py builds both and runs them interleaved.
  */
 
 #include <chrono>
 /* spburst-lint: config-host-only(scheduler, no-fast-forward, check,
-       out, baseline, min-speedup, help)
+       out, help)
    -- this tool measures host wall-clock, not simulated results; the
    scheduler / fast-forward knobs exist precisely to compare host
-   implementations on identical simulated work, and baseline /
-   min-speedup only compare the resulting host throughputs. */
+   implementations on identical simulated work. */
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,10 +51,6 @@ struct Options
     std::uint64_t seed = 1;
     sample::SampleSpec sample;
     std::string out = "BENCH_simspeed.json";
-    /** Prior BENCH_simspeed.json to compare against ("" = none). */
-    std::string baseline;
-    /** Fail (exit 1) if total speedup vs the baseline is below this. */
-    double minSpeedup = 0.0;
     SchedulerKind scheduler = SchedulerKind::Calendar;
     bool fastForward = true;
     bool spb = false;
@@ -94,11 +89,7 @@ usage()
         "  --no-fast-forward      disable quiescence fast-forward\n"
         "  --check=off|fast|full  invariant level (default off)\n"
         "  --out=FILE             JSON output (default "
-        "BENCH_simspeed.json)\n"
-        "  --baseline=FILE        compare against a prior output file:\n"
-        "                         prints per-workload and total speedup\n"
-        "  --min-speedup=X        with --baseline, exit non-zero if the\n"
-        "                         total speedup is below X");
+        "BENCH_simspeed.json)");
 }
 
 std::vector<std::string>
@@ -160,10 +151,6 @@ parse(int argc, char **argv)
             check::setLevel(check::parseLevel(v));
         } else if ((v = value("--out=")) != nullptr) {
             o.out = v;
-        } else if ((v = value("--baseline=")) != nullptr) {
-            o.baseline = v;
-        } else if ((v = value("--min-speedup=")) != nullptr) {
-            o.minSpeedup = std::strtod(v, nullptr);
         } else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -197,55 +184,12 @@ printSampleJson(std::FILE *f, const Sample &s)
         static_cast<double>(s.events) / s.hostSeconds);
 }
 
-/**
- * Pull {workload name -> uops_per_sec} out of a prior output file.
- * The format is machine-written by this tool, so a targeted scan for
- * the two fields is all the parsing a baseline needs; the aggregate
- * appears under the name "total". Fatal if the file is unreadable or
- * yields nothing — a silently empty baseline would vacuously pass
- * --min-speedup.
- */
-std::map<std::string, double>
-parseBaseline(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.good())
-        SPB_FATAL("cannot read baseline '%s'", path.c_str());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    std::map<std::string, double> rates;
-    const std::string name_key = "\"name\": \"";
-    const std::string rate_key = "\"uops_per_sec\": ";
-    std::size_t pos = 0;
-    while ((pos = text.find(name_key, pos)) != std::string::npos) {
-        const std::size_t name_start = pos + name_key.size();
-        const std::size_t name_end = text.find('"', name_start);
-        if (name_end == std::string::npos)
-            break;
-        pos = name_end;
-        const std::size_t obj_end = text.find('}', name_end);
-        const std::size_t rate = text.find(rate_key, name_end);
-        if (rate == std::string::npos || rate > obj_end)
-            continue;
-        rates[text.substr(name_start, name_end - name_start)] =
-            std::strtod(text.c_str() + rate + rate_key.size(), nullptr);
-    }
-    if (rates.empty())
-        SPB_FATAL("baseline '%s' contains no uops_per_sec entries",
-                  path.c_str());
-    return rates;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const Options o = parse(argc, argv);
-    if (o.minSpeedup > 0.0 && o.baseline.empty())
-        SPB_FATAL("--min-speedup requires --baseline=FILE");
     // --trace entries join (or, with no explicit --workload, replace)
     // the synthetic suite, matching spburst_run's convention.
     std::vector<std::string> workloads;
@@ -352,42 +296,5 @@ main(int argc, char **argv)
     std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", o.out.c_str());
-
-    if (o.baseline.empty())
-        return 0;
-
-    // Comparison mode: per-workload and aggregate speedup against a
-    // prior run of this tool, gated by the optional --min-speedup
-    // floor. The baseline should come from the same host and settings
-    // — cross-host uops/s are not comparable.
-    const auto base = parseBaseline(o.baseline);
-    std::printf("\nvs %s:\n", o.baseline.c_str());
-    for (const Sample &s : samples) {
-        const double rate =
-            static_cast<double>(s.uops) / s.hostSeconds;
-        const auto it = base.find(s.name);
-        if (it == base.end() || it->second <= 0.0)
-            std::printf("  %-14s %9.0f kuops/s   (not in baseline)\n",
-                        s.name.c_str(), rate / 1e3);
-        else
-            std::printf("  %-14s %9.0f kuops/s  %5.2fx\n",
-                        s.name.c_str(), rate / 1e3, rate / it->second);
-    }
-    const auto base_total = base.find("total");
-    if (base_total == base.end() || base_total->second <= 0.0)
-        SPB_FATAL("baseline '%s' has no total uops_per_sec",
-                  o.baseline.c_str());
-    const double total_rate =
-        static_cast<double>(total.uops) / total.hostSeconds;
-    const double speedup = total_rate / base_total->second;
-    std::printf("  %-14s %9.0f kuops/s  %5.2fx", "TOTAL",
-                total_rate / 1e3, speedup);
-    if (o.minSpeedup <= 0.0) {
-        std::printf("\n");
-        return 0;
-    }
-    const bool ok = speedup >= o.minSpeedup;
-    std::printf("  (floor %.2fx: %s)\n", o.minSpeedup,
-                ok ? "ok" : "FAIL");
-    return ok ? 0 : 1;
+    return 0;
 }
