@@ -81,7 +81,7 @@ escapeGithub(const std::string &s)
 
 /** Bump when rule semantics or the cache format change: a stale epoch
  *  must read as a miss, never as yesterday's findings. */
-constexpr int kCacheEpoch = 4;
+constexpr int kCacheEpoch = 5;
 
 std::uint64_t
 fnv1a(std::string_view s, std::uint64_t h = 1469598103934665603ull)

@@ -564,7 +564,14 @@ class FfStatParityRule final : public Rule
                     vfn.cls, w.key};
                 if (writesOut)
                     writesOut->insert(key);
-                if (sitesOut && sitesOut->count(key) == 0) {
+                // Keep the first write site per key, unless it is
+                // exempt and this one is not: one annotated write
+                // must not hide an unannotated one of the same stat.
+                if (sitesOut) {
+                    const auto it = sitesOut->find(key);
+                    if (it != sitesOut->end() &&
+                        !(it->second.exempt && !w.exempt))
+                        continue;
                     WriteSite site;
                     site.fnIdx = v;
                     site.line = w.line;

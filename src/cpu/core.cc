@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/check.hh"
 #include "common/logging.hh"
@@ -114,6 +115,12 @@ Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
                                           traces[tid], seed, sb_entries,
                                           l1d_, coreId_, p_.tlb);
         t.rob.reset(robPerThread_);
+        const std::size_t slots = t.rob.capacity();
+        t.readyBits.assign((slots + 63) / 64, 0);
+        t.pendingSrc.assign(slots, 0);
+        t.waitHead.assign(slots, kNoEdge);
+        t.waitNext.assign(2 * slots, kNoEdge);
+        t.timers.reserve(slots);
         t.fetchPipe.reset(fetchBufPerThread_);
         t.intRegsFree = std::max(8u, p_.intRegs / nt);
         t.fpRegsFree = std::max(8u, p_.fpRegs / nt);
@@ -148,21 +155,17 @@ void
 Core::tick()
 {
     // Stage gates: each stage runs only when some thread provably has
-    // work. Timer completions exist only while execPending > 0, and a
-    // completed-unrecovered mispredicted branch never survives a tick
-    // (the recovery scan runs in the same tick that completes it), so
-    // completeAndRecover has nothing to do once execPending is 0 —
-    // memory completions mark entries completed directly. The
-    // nextTimerCycle lower bound additionally skips the scan while
-    // every pending timer is still in the future (branches only
-    // complete by timer, so no recovery can be missed either). Commit
-    // and issue leave the fetch pipes alone, so the dispatch gate holds
-    // past them.
+    // work. completeAndRecover only retires the thread's timer list
+    // (memory completions wake their consumers from the L1D callback),
+    // and the nextTimerCycle lower bound skips it while every pending
+    // timer is still in the future (branches only complete by timer,
+    // so no recovery can be missed either). Commit and issue leave the
+    // fetch pipes alone, so the dispatch gate holds past them.
     bool commit = false;
     bool dispatch = false;
     for (Thread &t : threads_) {
         ++t.stats.cycles;
-        if (t.execPending != 0 && clock_->now >= t.nextTimerCycle)
+        if (!t.timers.empty() && clock_->now >= t.nextTimerCycle)
             completeAndRecover(t);
         commit |= !t.rob.empty() &&
                   (t.rob.flags(0) & robflags::kCompleted) != 0;
@@ -177,6 +180,9 @@ Core::tick()
     for (Thread &t : threads_)
         t.sb.tick(clock_->now);
     rotate_ = nextTurn(rotate_, threads());
+    if (check::full())
+        for (const Thread &t : threads_)
+            auditWakeup(t);
 }
 
 bool
@@ -186,7 +192,7 @@ Core::quiescent() const
         return false;
     const Thread &t = threads_[0];
     // Something completes by timer.
-    if (t.execPending != 0)
+    if (!t.timers.empty())
         return false;
     // Fetch would make progress (an exhausted fetch budget blocks
     // correct-path fetch, but never wrong-path synthesis).
@@ -210,17 +216,10 @@ Core::quiescent() const
     // The SB head would start a drain.
     if (!t.sb.quiescent())
         return false;
-    // Issue would make progress (O(ROB) scan, gated behind the cheap
-    // checks above; completions that could wake these entries arrive
-    // only via memory events once execPending is 0).
-    if (t.iqCount != 0) {
-        const std::size_t n = t.rob.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if ((t.rob.flags(i) & robflags::kInIq) != 0 &&
-                sourcesReady(t, i))
-                return false;
-        }
-    }
+    // Issue would make progress.
+    for (const std::uint64_t word : t.readyBits)
+        if (word != 0)
+            return false;
     return true;
 }
 
@@ -281,7 +280,7 @@ Core::drained() const
 {
     for (const Thread &t : threads_) {
         if (!t.fetchPipe.empty() || !t.rob.empty() || t.sb.size() != 0 ||
-            t.execPending != 0 || t.memPendingCount != 0 ||
+            !t.timers.empty() || t.memPendingCount != 0 ||
             t.wrongPathMode)
             return false;
     }
@@ -303,39 +302,31 @@ void
 Core::completeAndRecover(Thread &t)
 {
     const Cycle now = clock_->now;
-    const std::size_t n = t.rob.size();
     Cycle next = kNeverCycle;
     std::size_t recover = RobRing::npos;
-    // One fused pass: retire due timers, remember the earliest pending
-    // one, and pick the oldest resolved, unrecovered mispredicted
-    // branch. Each entry's recovery predicate only depends on its own
-    // (post-completion) state, so fusing the two historical loops
-    // cannot change which branch recovers.
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t f = t.rob.flags(i);
-        constexpr std::uint8_t timerCare = robflags::kIssued |
-                                           robflags::kCompleted |
-                                           robflags::kMemPending;
-        if ((f & timerCare) == robflags::kIssued) {
-            const Cycle ready = t.rob.readyCycle(i);
-            if (ready <= now) {
-                f |= robflags::kCompleted;
-                t.rob.flags(i) = f;
-                --t.execPending;
-            } else if (ready < next) {
-                next = ready;
-            }
+    // Retire the due timers in place, remember the earliest pending
+    // one, and pick the oldest correct-path mispredicted branch among
+    // those completing now. That is the oldest resolved, unrecovered
+    // mispredict in the whole ROB: branches complete only here, and
+    // the one picked recovers before the tick ends.
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < t.timers.size(); ++k) {
+        const SeqNum seq = t.timers[k];
+        const std::size_t i = t.rob.indexOf(seq);
+        const Cycle ready = t.rob.readyCycle(i);
+        if (ready > now) {
+            next = std::min(next, ready);
+            t.timers[kept++] = seq;
+            continue;
         }
-        constexpr std::uint8_t recoverCare = robflags::kCompleted |
-                                             robflags::kWrongPath |
-                                             robflags::kRecovered;
-        if (recover == RobRing::npos &&
-            (f & recoverCare) == robflags::kCompleted) {
-            const MicroOp &op = t.rob.op(i);
-            if (op.cls == OpClass::Branch && op.mispredicted)
-                recover = i;
-        }
+        t.rob.flags(i) |= robflags::kCompleted;
+        wake(t, i);
+        const MicroOp &op = t.rob.op(i);
+        if (op.cls == OpClass::Branch && op.mispredicted &&
+            !(t.rob.flags(i) & robflags::kWrongPath) && i < recover)
+            recover = i;
     }
+    t.timers.resize(kept);
     t.nextTimerCycle = next;
     // Mispredict recovery: the oldest resolved, unrecovered branch
     // squashes everything younger and redirects the front end.
@@ -348,6 +339,120 @@ Core::completeAndRecover(Thread &t)
 }
 
 void
+Core::linkSources(Thread &t, std::size_t i)
+{
+    const std::size_t s = t.rob.slot(i);
+    const SeqNum src[2] = {t.rob.src1(i), t.rob.src2(i)};
+    std::uint8_t pending = 0;
+    for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t j = t.rob.indexOf(src[k]);
+        if (j == RobRing::npos ||
+            (t.rob.flags(j) & robflags::kCompleted) != 0)
+            continue;
+        const std::size_t p = t.rob.slot(j);
+        const auto edge = static_cast<std::uint32_t>(s * 2 + k);
+        t.waitNext[edge] = t.waitHead[p];
+        t.waitHead[p] = edge;
+        ++pending;
+    }
+    t.pendingSrc[s] = pending;
+    if (pending == 0)
+        setReady(t, s);
+}
+
+void
+Core::wake(Thread &t, std::size_t i)
+{
+    const std::size_t p = t.rob.slot(i);
+    for (std::uint32_t e = t.waitHead[p]; e != kNoEdge; e = t.waitNext[e]) {
+        const std::size_t consumer = e >> 1;
+        if (--t.pendingSrc[consumer] == 0)
+            setReady(t, consumer);
+    }
+    t.waitHead[p] = kNoEdge;
+}
+
+void
+Core::unlinkSources(Thread &t, std::size_t i)
+{
+    const std::size_t s = t.rob.slot(i);
+    clearReady(t, s);
+    if (t.pendingSrc[s] == 0)
+        return;
+    for (const SeqNum src : {t.rob.src1(i), t.rob.src2(i)}) {
+        const std::size_t j = t.rob.indexOf(src);
+        if (j == RobRing::npos)
+            continue;
+        std::uint32_t &head = t.waitHead[t.rob.slot(j)];
+        while (head != kNoEdge && (head >> 1) == s)
+            head = t.waitNext[head];
+    }
+}
+
+void
+Core::auditWakeup(const Thread &t)
+{
+    constexpr std::uint8_t timerCare =
+        robflags::kIssued | robflags::kCompleted | robflags::kMemPending;
+    const std::size_t n = t.rob.size();
+    const std::size_t slots = t.rob.capacity();
+    std::size_t ready = 0;
+    std::size_t timed = 0;
+    std::size_t waiting = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t f = t.rob.flags(i);
+        [[maybe_unused]] const bool want =
+            (f & robflags::kInIq) != 0 && sourcesReady(t, i);
+        SPBURST_CHECK_SLOW(Pipeline, readyBit(t, t.rob.slot(i)) == want,
+                           "thread %d seq %llu: ready bit %d, but in-IQ "
+                           "with sources ready is %d",
+                           t.tid,
+                           static_cast<unsigned long long>(t.rob.seqAt(i)),
+                           readyBit(t, t.rob.slot(i)) ? 1 : 0,
+                           want ? 1 : 0);
+        ready += want ? 1 : 0;
+        timed += (f & timerCare) == robflags::kIssued ? 1 : 0;
+        waiting += t.pendingSrc[t.rob.slot(i)];
+    }
+    // No ready bit outside the live entries.
+    std::size_t bits = 0;
+    for (const std::uint64_t word : t.readyBits)
+        bits += static_cast<std::size_t>(std::popcount(word));
+    SPBURST_CHECK_SLOW(Pipeline, bits == ready,
+                       "thread %d: %zu ready bits for %zu ready entries",
+                       t.tid, bits, ready);
+    // The timer list holds each timer-completing entry exactly once.
+    SPBURST_CHECK_SLOW(Pipeline, t.timers.size() == timed,
+                       "thread %d: %zu timers for %zu timer-completing "
+                       "entries",
+                       t.tid, t.timers.size(), timed);
+    std::vector<std::uint8_t> listed(slots, 0);
+    for (const SeqNum seq : t.timers) {
+        const std::size_t i = t.rob.indexOf(seq);
+        const bool ok = i != RobRing::npos &&
+                        (t.rob.flags(i) & timerCare) == robflags::kIssued &&
+                        listed[t.rob.slot(i)] == 0;
+        SPBURST_CHECK_SLOW(Pipeline, ok,
+                           "thread %d: timer list entry %llu is not a "
+                           "distinct timer-completing entry",
+                           t.tid, static_cast<unsigned long long>(seq));
+        if (ok)
+            listed[t.rob.slot(i)] = 1;
+    }
+    // Every pending source is exactly one edge on a wait list (the
+    // walk is capped so a corrupted list cannot loop forever).
+    std::size_t edges = 0;
+    for (std::size_t p = 0; p < slots; ++p)
+        for (std::uint32_t e = t.waitHead[p];
+             e != kNoEdge && edges <= 2 * slots; e = t.waitNext[e])
+            ++edges;
+    SPBURST_CHECK_SLOW(Pipeline, edges == waiting,
+                       "thread %d: %zu wait-list edges for %zu pending "
+                       "sources",
+                       t.tid, edges, waiting);
+}
+
+void
 Core::squashAfter(Thread &t, SeqNum branch_seq)
 {
     while (!t.rob.empty() && t.rob.backSeq() > branch_seq) {
@@ -356,14 +461,10 @@ Core::squashAfter(Thread &t, SeqNum branch_seq)
         if (f & robflags::kInIq) {
             --t.iqCount;
             --iqInUse_;
+            unlinkSources(t, i);
         }
-        if ((f & (robflags::kIssued | robflags::kCompleted)) ==
-            robflags::kIssued) {
-            if (f & robflags::kMemPending)
-                --t.memPendingCount;
-            else
-                --t.execPending;
-        }
+        if (f & robflags::kMemPending)
+            --t.memPendingCount;
         const MicroOp &op = t.rob.op(i);
         if (op.cls == OpClass::Load)
             --t.lqCount;
@@ -377,6 +478,8 @@ Core::squashAfter(Thread &t, SeqNum branch_seq)
         ++t.stats.squashedUops;
         t.rob.popBack();
     }
+    std::erase_if(t.timers,
+                  [branch_seq](SeqNum seq) { return seq > branch_seq; });
     t.sb.squashFrom(branch_seq + 1);
     t.fetchPipe.clear();
     t.wrongPathMode = false;
@@ -482,6 +585,7 @@ Core::issueLoadToL1(int tid, SeqNum seq, std::uint64_t token)
     if (i == RobRing::npos || t.rob.token(i) != token ||
         !(t.rob.flags(i) & robflags::kMemPending))
         return; // squashed while the page walk was in flight
+    // spburst-lint: ff-exempt -- event-count stat: loads reach the L1D at issue or at a page-walk event, and a skipped quiescent range holds neither
     ++t.stats.loadsToL1;
     const bool wrong_path = (t.rob.flags(i) & robflags::kWrongPath) != 0;
     if (wrong_path)
@@ -503,6 +607,7 @@ Core::issueLoadToL1(int tid, SeqNum seq, std::uint64_t token)
         std::uint8_t &f = th.rob.flags(j);
         f = static_cast<std::uint8_t>(
             (f & ~robflags::kMemPending) | robflags::kCompleted);
+        wake(th, j);
         --th.memPendingCount;
         th.rob.readyCycle(j) = clock_->now;
         recordLoadObserved(th, j, clock_->now, kInvalidSeqNum);
@@ -552,10 +657,10 @@ Core::recordLoadObserved(const Thread &t, std::size_t i, Cycle cycle,
 void
 Core::issueStage()
 {
-    // Oldest-first within a thread. A thread's ROB scan resumes after
-    // its last issue: an entry passed over this cycle stays unissuable
-    // (its producers are older uops of the same thread, and the ports
-    // only fill up).
+    // Oldest-first within a thread. A thread's ready-bitmap walk
+    // resumes after its last issue: an entry passed over this cycle
+    // stays unissuable (its producers are older uops of the same
+    // thread, and the ports only fill up).
     const int nt = threads();
     std::size_t from[kMaxThreads] = {};
     IssueSlots slots;
@@ -598,24 +703,36 @@ Core::issueNext(Thread &t, std::size_t &from, IssueSlots &slots)
 {
     const Cycle now = clock_->now;
     const std::size_t n = t.rob.size();
-    for (std::size_t i = from; i < n; ++i) {
-        if (!(t.rob.flags(i) & robflags::kInIq) || !sourcesReady(t, i))
+    const std::size_t ring = t.rob.capacity();
+    auto unit_free = [this, &slots](OpClass cls) {
+        if (isMemOp(cls))
+            return slots.memUsed < p_.memPorts;
+        const bool alu = slots.intUsed + slots.fpUsed < p_.intAluCount;
+        return isFloatOp(cls) ? alu && slots.fpUsed < p_.fpAluCount : alu;
+    };
+    for (std::size_t i = from; i < n;) {
+        // The next ready entry in the rest of slot(i)'s bitmap word,
+        // which ends at the word or the ring boundary. Bits past the
+        // youngest entry are clear unless the walk wrapped around to
+        // the oldest ones, which land at logical indices >= n.
+        const std::size_t s = t.rob.slot(i);
+        const std::uint64_t bits = t.readyBits[s >> 6] >> (s & 63);
+        if (bits == 0) {
+            i += std::min<std::size_t>((s | 63) + 1, ring) - s;
             continue;
+        }
+        i += static_cast<std::size_t>(std::countr_zero(bits));
+        if (i >= n)
+            break;
         const OpClass cls = t.rob.op(i).cls;
-        if (isMemOp(cls)) {
-            if (slots.memUsed >= p_.memPorts)
-                continue;
-        } else if (isFloatOp(cls)) {
-            if (slots.fpUsed >= p_.fpAluCount ||
-                slots.intUsed + slots.fpUsed >= p_.intAluCount)
-                continue;
-        } else {
-            if (slots.intUsed + slots.fpUsed >= p_.intAluCount)
-                continue;
+        if (!unit_free(cls)) {
+            ++i;
+            continue;
         }
 
         t.rob.flags(i) = static_cast<std::uint8_t>(
             (t.rob.flags(i) & ~robflags::kInIq) | robflags::kIssued);
+        clearReady(t, t.rob.slot(i));
         --t.iqCount;
         --iqInUse_;
         t.rob.issuedAt(i) = now;
@@ -637,9 +754,9 @@ Core::issueNext(Thread &t, std::size_t &from, IssueSlots &slots)
             t.rob.readyCycle(i) = now + p_.opLatency(cls);
         }
         // Everything but a load that went to memory completes by
-        // timer; track the earliest such timer for the scan gate.
+        // timer; track the earliest such timer for the walk gate.
         if (!(t.rob.flags(i) & robflags::kMemPending)) {
-            ++t.execPending;
+            t.timers.push_back(t.rob.seqAt(i));
             if (t.rob.readyCycle(i) < t.nextTimerCycle)
                 t.nextTimerCycle = t.rob.readyCycle(i);
         }
@@ -717,6 +834,7 @@ Core::dispatchStage()
         };
         t.rob.src1(i) = to_seq(f.op.srcDist1);
         t.rob.src2(i) = to_seq(f.op.srcDist2);
+        linkSources(t, i);
         ++t.iqCount;
         ++iqInUse_;
         if (f.op.cls == OpClass::Load)

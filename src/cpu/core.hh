@@ -261,13 +261,26 @@ class Core
         std::uint64_t nextToken = 1;
         unsigned iqCount = 0; //!< this thread's share of the shared IQ
         unsigned lqCount = 0;
-        /** Issued, not completed, not waiting on memory: these complete
-         *  by timer (readyCycle), so the core is never quiescent while
-         *  > 0. */
-        unsigned execPending = 0;
+
+        // Event-driven wakeup/select, indexed by physical ROB slot
+        // (RobRing::slot) and sized once at construction.
+        /** Bit per slot: in the IQ with every producer completed. */
+        std::vector<std::uint64_t> readyBits;
+        /** Per slot: sources whose producer has not completed yet. */
+        std::vector<std::uint8_t> pendingSrc;
+        /** Per producer slot: head of its list of waiting consumer
+         *  edges (edge `slot * 2 + k` is source k of that slot), or
+         *  kNoEdge. */
+        std::vector<std::uint32_t> waitHead;
+        /** Per edge: the next edge on the same producer's list. */
+        std::vector<std::uint32_t> waitNext;
+        /** Seqs of the issued uops that complete by timer (readyCycle)
+         *  rather than by a memory callback, in no particular order.
+         *  The core is never quiescent while it is non-empty. */
+        std::vector<SeqNum> timers;
         /** Lower bound on the earliest pending timer completion; gates
-         *  the completion scan (squash can leave it stale-low, which
-         *  only costs one empty scan that recomputes it). */
+         *  the timer walk (squash can leave it stale-low, which only
+         *  costs one walk that recomputes it). */
         Cycle nextTimerCycle = kNeverCycle;
         /** ROB entries with a load in flight to the L1D (wrong path
          *  included); gates the exec-stall statistic scan. */
@@ -310,9 +323,14 @@ class Core
         return tid + 1 == nt ? 0 : tid + 1;
     }
 
+    /** No consumer edge (end of a wait list). */
+    static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
     /** True when producer @p seq has left the ROB or completed.
      *  kInvalidSeqNum (no dependence) maps to "done" via the same
-     *  unsigned wrap that rejects committed/squashed seqs. */
+     *  unsigned wrap that rejects committed/squashed seqs. The wakeup
+     *  state replaces this predicate on the hot path; auditWakeup
+     *  keeps it as the oracle. */
     static bool
     producerDone(const Thread &t, SeqNum seq)
     {
@@ -327,6 +345,38 @@ class Core
         return producerDone(t, t.rob.src1(i)) &&
                producerDone(t, t.rob.src2(i));
     }
+
+    static bool
+    readyBit(const Thread &t, std::size_t slot)
+    {
+        return (t.readyBits[slot >> 6] >> (slot & 63) & 1) != 0;
+    }
+    static void
+    setReady(Thread &t, std::size_t slot)
+    {
+        t.readyBits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+    static void
+    clearReady(Thread &t, std::size_t slot)
+    {
+        t.readyBits[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    }
+
+    /** Dispatch of ROB index @p i: put each source whose producer is
+     *  still in flight on that producer's wait list, and mark the
+     *  entry ready when there is none. */
+    static void linkSources(Thread &t, std::size_t i);
+    /** ROB index @p i completed: count it off for every consumer on
+     *  its wait list, mark those left with no pending source ready,
+     *  and empty the list. */
+    static void wake(Thread &t, std::size_t i);
+    /** Squash of the youngest ROB index @p i: take its edges off its
+     *  producers' wait lists (they sit at the heads, since every
+     *  younger consumer is already gone) and clear its ready bit. */
+    static void unlinkSources(Thread &t, std::size_t i);
+    /** --check=full oracle: the wakeup state equals what the ROB flags
+     *  and sources say. */
+    static void auditWakeup(const Thread &t);
 
     /** Issue @p t's oldest ready uop at ROB index @p from or later that
      *  @p slots still has a unit for, and move @p from past it; false

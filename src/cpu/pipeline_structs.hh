@@ -2,22 +2,24 @@
  * @file
  * Struct-of-arrays ring buffers for the pipeline hot structures.
  *
- * The per-cycle core loops (issue wakeup, completion scan, producer
- * lookup, SB forwarding) walk the ROB and SB once or more per tick.
- * With `std::deque` each probe pays a chunk-map indirection and drags
- * a whole ~80-byte entry through the cache to test one flag. The rings
- * here split every entry across parallel arrays so a scan touches only
- * the fields it reads: one packed flag byte per entry for the wakeup
- * and completion predicates, cycle stamps and source seqs alongside,
- * and the cold payload (`MicroOp`, lifetime token) in side arrays that
- * only dispatch/commit touch.
+ * The core's remaining per-entry loops (producer lookup, the
+ * exec-stall statistic, SB forwarding) probe the ROB and SB by
+ * logical index. With `std::deque` each probe pays a chunk-map
+ * indirection and drags a whole ~80-byte entry through the cache to
+ * test one flag. The rings here split every entry across parallel
+ * arrays so a probe touches only the fields it reads: one packed flag
+ * byte per entry, cycle stamps and source seqs alongside, and the cold
+ * payload (`MicroOp`, lifetime token) in side arrays that only
+ * dispatch/commit touch.
  *
- * All rings are power-of-two sized and indexed logically: index 0 is
- * the oldest entry, `phys(i) = (head + i) & mask`. The ROB ring also
- * owns the seq-contiguity invariant the cores rely on for O(1)
- * producer lookup: entry i holds sequence number `frontSeq() + i` by
- * construction (squash reuses the freed numbers, so contiguity
- * survives recovery).
+ * All rings are power-of-two sized and indexed logically: entry i (0
+ * is the oldest) sits in physical slot `(head + i) & mask`. The ROB
+ * ring also owns the seq-contiguity invariant the core relies on for
+ * O(1) producer lookup: entry i holds sequence number `frontSeq() + i`
+ * by construction (squash reuses the freed numbers, so contiguity
+ * survives recovery). An entry keeps its physical slot for its whole
+ * life, so the core's wakeup state (ready bitmap, consumer lists) is
+ * indexed by `slot(i)` and sized by `capacity()`.
  */
 
 #pragma once
@@ -57,7 +59,7 @@ ringCapacityFor(std::size_t n)
 /**
  * Reorder buffer as a struct-of-arrays ring.
  *
- * Hot arrays: flags (wakeup/completion predicates), readyCycle
+ * Hot arrays: flags (IQ / issued / completed state), readyCycle
  * (completion timer), issuedAt (exec-stall attribution), src1/src2
  * (producer seqs). Cold arrays: the MicroOp payload and the lifetime
  * token that fends off stale memory callbacks after a squash.
@@ -89,6 +91,10 @@ class RobRing
 
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
+    /** Physical slot count (a power of two, >= the requested size). */
+    std::size_t capacity() const { return mask_ + 1; }
+    /** Physical slot of logical entry @p i; stable while it lives. */
+    std::size_t slot(std::size_t i) const { return (head_ + i) & mask_; }
 
     /** Seq of the oldest entry (meaningful only when non-empty). */
     SeqNum frontSeq() const { return frontSeq_; }
@@ -143,23 +149,21 @@ class RobRing
 
     void popBack() { --count_; }
 
-    std::uint8_t &flags(std::size_t i) { return flags_[phys(i)]; }
-    std::uint8_t flags(std::size_t i) const { return flags_[phys(i)]; }
-    Cycle &readyCycle(std::size_t i) { return ready_[phys(i)]; }
-    Cycle readyCycle(std::size_t i) const { return ready_[phys(i)]; }
-    Cycle &issuedAt(std::size_t i) { return issuedAt_[phys(i)]; }
-    Cycle issuedAt(std::size_t i) const { return issuedAt_[phys(i)]; }
-    SeqNum &src1(std::size_t i) { return src1_[phys(i)]; }
-    SeqNum src1(std::size_t i) const { return src1_[phys(i)]; }
-    SeqNum &src2(std::size_t i) { return src2_[phys(i)]; }
-    SeqNum src2(std::size_t i) const { return src2_[phys(i)]; }
-    MicroOp &op(std::size_t i) { return op_[phys(i)]; }
-    const MicroOp &op(std::size_t i) const { return op_[phys(i)]; }
-    std::uint64_t token(std::size_t i) const { return token_[phys(i)]; }
+    std::uint8_t &flags(std::size_t i) { return flags_[slot(i)]; }
+    std::uint8_t flags(std::size_t i) const { return flags_[slot(i)]; }
+    Cycle &readyCycle(std::size_t i) { return ready_[slot(i)]; }
+    Cycle readyCycle(std::size_t i) const { return ready_[slot(i)]; }
+    Cycle &issuedAt(std::size_t i) { return issuedAt_[slot(i)]; }
+    Cycle issuedAt(std::size_t i) const { return issuedAt_[slot(i)]; }
+    SeqNum &src1(std::size_t i) { return src1_[slot(i)]; }
+    SeqNum src1(std::size_t i) const { return src1_[slot(i)]; }
+    SeqNum &src2(std::size_t i) { return src2_[slot(i)]; }
+    SeqNum src2(std::size_t i) const { return src2_[slot(i)]; }
+    MicroOp &op(std::size_t i) { return op_[slot(i)]; }
+    const MicroOp &op(std::size_t i) const { return op_[slot(i)]; }
+    std::uint64_t token(std::size_t i) const { return token_[slot(i)]; }
 
   private:
-    std::size_t phys(std::size_t i) const { return (head_ + i) & mask_; }
-
     std::vector<std::uint8_t> flags_;
     std::vector<Cycle> ready_;
     std::vector<Cycle> issuedAt_;

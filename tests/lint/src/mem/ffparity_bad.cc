@@ -1,6 +1,6 @@
 // Fixture: ff-stat-parity must flag a tick-tree stat missing from the
-// ff(skip) path (written via stats_ or a per-thread `lane.stats.x`) and
-// an ff(tick) root whose class has no ff(skip) counterpart at all.
+// ff(skip) path (via stats_, a per-thread `lane.stats.x`, or behind an
+// exempt write met first) and an ff(tick) root with no ff(skip) pair.
 namespace fx
 {
 
@@ -84,6 +84,44 @@ class LanedUnit
     }
 
     Lane lanes_[2];
+};
+
+struct SplitStats
+{
+    unsigned long cycles = 0;
+    unsigned long issued = 0;
+};
+
+class SplitIssuer
+{
+  public:
+    // spburst-lint: ff(tick)
+    void tick()
+    {
+        ++stats_.cycles;
+        issueNow();
+    }
+
+    // spburst-lint: ff(skip)
+    void skipCycles(unsigned long n)
+    {
+        stats_.cycles += n;
+    }
+
+  private:
+    void issueNow()
+    {
+        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing
+        ++stats_.issued;
+        issueLater();
+    }
+
+    void issueLater()
+    {
+        ++stats_.issued;
+    }
+
+    SplitStats stats_;
 };
 
 } // namespace fx

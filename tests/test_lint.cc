@@ -99,12 +99,13 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
         {"ff-stat-parity", "src/mem/ffparity_bad.cc", 32},
         {"ff-stat-parity", "src/mem/ffparity_bad.cc", 42},
         {"ff-stat-parity", "src/mem/ffparity_bad.cc", 83}, // lane.stats
+        {"ff-stat-parity", "src/mem/ffparity_bad.cc", 121}, // exempt first
         {"check-purity-flow", "src/mem/checkflow_bad.cc", 11},
         {"check-purity-flow", "src/mem/checkflow_bad.cc", 17},
     };
     EXPECT_EQ(keysOf(result), expected);
     // chrono + steady_clock both flag nondet_bad.cc:13.
-    EXPECT_EQ(result.findings.size(), 40u);
+    EXPECT_EQ(result.findings.size(), 41u);
 }
 
 TEST(Lint, GoodFixturesAndExemptDirsStaySilent)

@@ -256,14 +256,17 @@ sortedReport(const SimResult &r)
 
 std::string
 runOnce(const std::string &workload, SchedulerKind scheduler,
-        bool fast_forward, check::Level level)
+        bool fast_forward, check::Level level,
+        const CoreParams &core = skylakeParams(),
+        std::uint64_t uops = 20'000)
 {
     const check::Level saved = check::level();
     check::setLevel(level);
     SystemConfig cfg;
     cfg.workload = workload;
+    cfg.coreParams = core;
     cfg.useSpb = true;
-    cfg.maxUopsPerCore = 20'000;
+    cfg.maxUopsPerCore = uops;
     cfg.scheduler = scheduler;
     cfg.fastForward = fast_forward;
     System sys(cfg);
@@ -303,7 +306,24 @@ TEST(SchedulerDifferential, ByteIdenticalStatsAcrossCheckLevels)
     // Checking levels must not interact with the new hot path: the
     // reported statistics (check.* counters excluded, as they count
     // checker activity itself) stay byte-identical under off/fast/full
-    // with fast-forward enabled.
+    // with fast-forward enabled. Beyond the default core, the cases
+    // cover the shapes of the issue stage's ready bitmap: SLM's
+    // 32-entry ROB fills part of one 64-bit word, SNC's 352 entries
+    // live in a 512-slot ring that wraps across words, and leela
+    // squashes about 41% of its fetched uops at 50k, which drives the
+    // wakeup lists' squash path.
+    struct Case
+    {
+        const char *workload;
+        CoreParams core;
+        std::uint64_t uops;
+    };
+    const Case cases[] = {
+        {"mcf", skylakeParams(), 20'000},
+        {"mcf", silvermontParams(), 20'000},
+        {"mcf", sunnyCoveParams(), 20'000},
+        {"leela", skylakeParams(), 50'000},
+    };
     auto strip_check_stats = [](const std::string &report) {
         std::istringstream is(report);
         std::ostringstream os;
@@ -313,13 +333,17 @@ TEST(SchedulerDifferential, ByteIdenticalStatsAcrossCheckLevels)
                 os << line << "\n";
         return os.str();
     };
-    const std::string off =
-        strip_check_stats(runOnce("mcf", SchedulerKind::Calendar, true,
-                                  check::Level::Off));
-    EXPECT_EQ(off, strip_check_stats(runOnce(
-                       "mcf", SchedulerKind::Calendar, true,
-                       check::Level::Fast)));
-    EXPECT_EQ(off, strip_check_stats(runOnce(
-                       "mcf", SchedulerKind::Calendar, true,
-                       check::Level::Full)));
+    for (const Case &c : cases) {
+        auto run = [&c, &strip_check_stats](check::Level level) {
+            return strip_check_stats(runOnce(c.workload,
+                                             SchedulerKind::Calendar,
+                                             true, level, c.core,
+                                             c.uops));
+        };
+        const std::string off = run(check::Level::Off);
+        EXPECT_EQ(off, run(check::Level::Fast))
+            << c.workload << " on " << c.core.name;
+        EXPECT_EQ(off, run(check::Level::Full))
+            << c.workload << " on " << c.core.name;
+    }
 }

@@ -17,7 +17,9 @@ Usage (from anywhere inside the repository):
 
 The head's last report is copied to --out (default
 <work>/BENCH_simspeed.json) as a trajectory record; it is not a gate
-input.
+input. Both sides' host fingerprints (CPU model, nproc, compiler, build
+type) are printed with the result; a base that predates the fingerprint
+prints "not recorded".
 """
 
 import argparse
@@ -108,6 +110,11 @@ def main():
         print("%s: median %.1fk uops/s (min %.1fk, max %.1fk)"
               % (side, median(side, "total") / 1e3, min(totals) / 1e3,
                  max(totals) / 1e3))
+    for side in ("base", "head"):
+        with open(os.path.join(work, "%s-%d.json" % (side, PAIRS - 1))) as f:
+            host = json.load(f).get("host")
+        print("%s host: %s" % (side, json.dumps(host, sort_keys=True)
+                               if host else "not recorded"))
     ratio = median("head", "total") / median("base", "total")
     print("median(head) / median(base) = %.3f (gate >= %.2f)"
           % (ratio, MIN_RATIO))

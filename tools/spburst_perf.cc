@@ -15,6 +15,9 @@
  *
  * Host throughput is comparable only on one host: to compare two
  * revisions, tools/simspeed_ab.py builds both and runs them interleaved.
+ * The JSON records the host it ran on (CPU model, hardware threads,
+ * compiler, build type) so a report is never read against another
+ * machine's by mistake.
  */
 
 #include <chrono>
@@ -27,7 +30,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "check/check.hh"
 #include "common/logging.hh"
@@ -162,6 +170,29 @@ parse(int argc, char **argv)
     return o;
 }
 
+/** The CPU's brand string from CPUID, or "unknown". */
+std::string
+cpuModel()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned regs[12] = {};
+    if (__get_cpuid_max(0x80000000, nullptr) < 0x80000004)
+        return "unknown";
+    for (unsigned i = 0; i < 3; ++i)
+        __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
+                    &regs[4 * i + 2], &regs[4 * i + 3]);
+    char brand[sizeof(regs) + 1] = {};
+    std::memcpy(brand, regs, sizeof(regs));
+    const std::string model(brand);
+    const std::size_t first = model.find_first_not_of(' ');
+    if (first == std::string::npos)
+        return "unknown";
+    return model.substr(first, model.find_last_not_of(' ') - first + 1);
+#else
+    return "unknown";
+#endif
+}
+
 void
 printSampleJson(std::FILE *f, const Sample &s)
 {
@@ -278,6 +309,8 @@ main(int argc, char **argv)
                  "%llu,\n  \"spb\": %s,\n  \"sample\": \"%s\",\n"
                  "  \"scheduler\": \"%s\",\n"
                  "  \"fast_forward\": %s,\n  \"check\": \"%s\",\n"
+                 "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+                 "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n"
                  "  \"workloads\": [\n",
                  o.suite.c_str(),
                  static_cast<unsigned long long>(o.uops),
@@ -285,7 +318,9 @@ main(int argc, char **argv)
                  o.sample.enabled() ? o.sample.canonical().c_str() : "",
                  schedulerKindName(o.scheduler),
                  o.fastForward ? "true" : "false",
-                 check::levelName(check::level()));
+                 check::levelName(check::level()), cpuModel().c_str(),
+                 std::thread::hardware_concurrency(), __VERSION__,
+                 SPBURST_BUILD_TYPE);
     for (std::size_t i = 0; i < samples.size(); ++i) {
         std::fprintf(f, "    ");
         printSampleJson(f, samples[i]);
