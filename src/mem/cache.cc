@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
+#include "check/check.hh"
 #include "common/logging.hh"
 
 namespace spburst
@@ -32,12 +35,17 @@ memCmdName(MemCmd cmd)
 }
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
-    : sets_(geometry.numSets()), ways_(geometry.ways),
-      frames_(sets_ * ways_)
+    : sets_(geometry.numSets()), ways_(geometry.ways)
 {
     SPB_ASSERT(sets_ > 0 && (sets_ & (sets_ - 1)) == 0,
                "cache sets must be a nonzero power of two (got %lu)",
                static_cast<unsigned long>(sets_));
+    frames_.reset(static_cast<CacheBlk *>(
+        std::calloc(numFrames(), sizeof(CacheBlk))));
+    if (!frames_)
+        SPB_FATAL("cannot allocate a %zu-frame cache tag array",
+                  numFrames());
+    tracked_.resize((numFrames() + 63) / 64);
 }
 
 CacheBlk *
@@ -93,6 +101,7 @@ SetAssocCache::fill(CacheBlk &frame, Addr block_addr, CohState state)
     frame.prefetchUsed = false;
     frame.fillCmd = MemCmd::ReadReq;
     touch(frame);
+    track(frame);
 }
 
 bool
@@ -106,46 +115,93 @@ SetAssocCache::invalidate(Addr block_addr)
     return dirty;
 }
 
+void
+SetAssocCache::clearTracked()
+{
+    // Only tracked frames can differ from CacheBlk{}.
+    forEachTracked([&](std::size_t i) { frames_[i] = CacheBlk{}; });
+    std::fill(tracked_.begin(), tracked_.end(), 0);
+}
+
 CacheTagSnapshot
 SetAssocCache::snapshotTags() const
 {
     CacheTagSnapshot snap;
     snap.lruClock = clock_;
-    for (std::size_t i = 0; i < frames_.size(); ++i) {
+    forEachTracked([&](std::size_t i) {
         const CacheBlk &f = frames_[i];
-        if (!isValid(f.state))
-            continue;
-        snap.frames.push_back({static_cast<std::uint32_t>(i), f.tag,
-                               f.state, f.lastTouch});
-    }
+        if (isValid(f.state)) {
+            snap.frames.push_back({static_cast<std::uint32_t>(i), f.tag,
+                                   f.state, f.lastTouch});
+        }
+    });
     return snap;
 }
 
 void
 SetAssocCache::restoreTags(const CacheTagSnapshot &snap)
 {
-    for (CacheBlk &f : frames_)
-        f = CacheBlk{};
+    clearTracked();
     for (const CacheTagSnapshot::Frame &s : snap.frames) {
-        SPB_ASSERT(s.index < frames_.size(),
+        SPB_ASSERT(s.index < numFrames(),
                    "tag snapshot frame %u out of range (array has %zu)",
-                   s.index, frames_.size());
+                   s.index, numFrames());
         CacheBlk &f = frames_[s.index];
         f.tag = s.tag;
         f.state = s.state;
         f.lastTouch = s.lastTouch;
+        track(f);
     }
     clock_ = snap.lruClock;
+}
+
+void
+SetAssocCache::restoreTagsFrom(const SetAssocCache &src)
+{
+    SPB_ASSERT(&src != this && src.sets_ == sets_ && src.ways_ == ways_,
+               "tag transplant between geometries (%lu x %u -> %lu x %u)",
+               static_cast<unsigned long>(src.sets_), src.ways_,
+               static_cast<unsigned long>(sets_), ways_);
+    clearTracked();
+    src.forEachValid([&](std::uint32_t i, const CacheBlk &s) {
+        CacheBlk &f = frames_[i];
+        f.tag = s.tag;
+        f.state = s.state;
+        f.lastTouch = s.lastTouch;
+        track(f);
+    });
+    clock_ = src.clock_;
 }
 
 std::uint64_t
 SetAssocCache::validCount() const
 {
     std::uint64_t n = 0;
-    for (const auto &f : frames_)
-        if (isValid(f.state))
-            ++n;
+    forEachValid([&](std::uint32_t, const CacheBlk &) { ++n; });
     return n;
+}
+
+void
+SetAssocCache::auditTracked() const
+{
+    if (!check::full())
+        return;
+    std::size_t i = 0;
+    for (; i < numFrames(); ++i) {
+        const CacheBlk &f = frames_[i];
+        const bool tracked = (tracked_[i >> 6] >> (i & 63)) & 1;
+        if (!tracked &&
+            (f.tag != 0 || f.state != CohState::Invalid ||
+             f.lastTouch != 0 || f.prefetched || f.prefetchUsed ||
+             f.fillCmd != MemCmd::ReadReq))
+            break;
+    }
+    SPBURST_CHECK_SLOW(Coherence, i == numFrames(),
+                       "tag array frame %zu (tag %#llx, state %s) is not "
+                       "tracked but differs from an empty frame: a "
+                       "restore would miss it",
+                       i, static_cast<unsigned long long>(frames_[i].tag),
+                       cohStateName(frames_[i].state));
 }
 
 } // namespace spburst

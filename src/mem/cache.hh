@@ -8,7 +8,11 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -28,6 +32,15 @@ struct CacheBlk
     bool prefetchUsed = false;           //!< demand-referenced since fill
     MemCmd fillCmd = MemCmd::ReadReq;    //!< command that caused the fill
 };
+
+// SetAssocCache takes its frame array from calloc: a zero-filled frame
+// must be exactly CacheBlk{}.
+static_assert(std::is_trivially_copyable_v<CacheBlk> &&
+                  std::is_trivially_destructible_v<CacheBlk>,
+              "CacheBlk frames live in raw calloc'd memory");
+static_assert(static_cast<int>(CohState::Invalid) == 0 &&
+                  static_cast<int>(MemCmd::ReadReq) == 0,
+              "every CacheBlk{} field must be all-zero bytes");
 
 /** Geometry of a cache. */
 struct CacheGeometry
@@ -52,7 +65,7 @@ struct CacheTagSnapshot
 {
     struct Frame
     {
-        std::uint32_t index = 0; //!< position in frames()
+        std::uint32_t index = 0; //!< frame index: set * ways + way
         Addr tag = 0;
         CohState state = CohState::Invalid;
         std::uint64_t lastTouch = 0;
@@ -97,8 +110,28 @@ class SetAssocCache
     std::uint64_t numSets() const { return sets_; }
     std::uint32_t numWays() const { return ways_; }
 
-    /** All frames (set-major); for stats finalisation and tests. */
-    const std::vector<CacheBlk> &frames() const { return frames_; }
+    /** Number of frames (sets * ways). */
+    std::size_t numFrames() const { return sets_ * ways_; }
+
+    /** Frame @p index (set-major), valid or not; for tests and audits. */
+    const CacheBlk &
+    frameAt(std::size_t index) const
+    {
+        return frames_[index];
+    }
+
+    /** Call @p fn(index, frame) for every valid frame, index-ascending.
+     *  Costs O(frames filled or restored since the last restore), not
+     *  O(frames). */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        forEachTracked([&](std::size_t i) {
+            if (isValid(frames_[i].state))
+                fn(static_cast<std::uint32_t>(i), frames_[i]);
+        });
+    }
 
     /** Copy out the valid frames and LRU clock. */
     CacheTagSnapshot snapshotTags() const;
@@ -108,6 +141,14 @@ class SetAssocCache
      *  Prefetch metadata of restored frames is cleared (functional
      *  warming models demand traffic only). */
     void restoreTags(const CacheTagSnapshot &snap);
+
+    /** restoreTags(src.snapshotTags()) without the intermediate copy;
+     *  @p src must have the same geometry. */
+    void restoreTagsFrom(const SetAssocCache &src);
+
+    /** --check=full audit: every frame outside the tracked set is
+     *  CacheBlk{} (so, in particular, every valid frame is tracked). */
+    void auditTracked() const;
 
     /** Set index of an address (for conflict analysis in tests). */
     std::uint64_t
@@ -122,10 +163,45 @@ class SetAssocCache
     std::uint64_t sets_;
     // spburst-lint: state(host-only) -- construction-time geometry
     std::uint32_t ways_;
-    std::vector<CacheBlk> frames_; // sets_ * ways_, set-major
-    std::uint64_t clock_ = 0;      // LRU timestamp source
+    struct FreeDeleter
+    {
+        void operator()(CacheBlk *p) const { std::free(p); }
+    };
+    // sets_ * ways_ frames, set-major. calloc'd: pages no run touches
+    // are never faulted in, which keeps a 16 MiB L3 cheap to build.
+    std::unique_ptr<CacheBlk[], FreeDeleter> frames_;
+    std::uint64_t clock_ = 0; // LRU timestamp source
+    // spburst-lint: state(host-only) -- derived from frames_: bit i is
+    // set once frame i is filled and cleared only by a restore, so it
+    // covers every valid frame and every frame that differs from
+    // CacheBlk{}
+    std::vector<std::uint64_t> tracked_;
 
     CacheBlk *setBase(Addr block_addr);
+
+    void
+    track(const CacheBlk &frame)
+    {
+        const std::size_t i =
+            static_cast<std::size_t>(&frame - frames_.get());
+        tracked_[i >> 6] |= 1ULL << (i & 63);
+    }
+
+    /** Reset every tracked frame to CacheBlk{} and clear the bitmap. */
+    void clearTracked();
+
+    /** Call @p fn(index) for every tracked frame, index-ascending. */
+    template <typename Fn>
+    void
+    forEachTracked(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < tracked_.size(); ++w) {
+            for (std::uint64_t bits = tracked_[w]; bits != 0;
+                 bits &= bits - 1)
+                fn((w << 6) +
+                   static_cast<std::size_t>(std::countr_zero(bits)));
+        }
+    }
 };
 
 } // namespace spburst

@@ -676,18 +676,18 @@ CacheController::notifyPrefetcher(const MemRequest &req, bool hit)
 void
 CacheController::finalizeStats()
 {
-    for (const CacheBlk &frame : tags_.frames()) {
-        if (isValid(frame.state) && frame.prefetched &&
-            !frame.prefetchUsed && isStorePrefetch(frame.fillCmd)) {
+    tags_.forEachValid([&](std::uint32_t, const CacheBlk &frame) {
+        if (frame.prefetched && !frame.prefetchUsed &&
+            isStorePrefetch(frame.fillCmd)) {
             ++stats_.pfNeverUsed;
         }
-    }
+    });
     stats_.pfNeverUsed += evictedUnusedPf_.size();
     evictedUnusedPf_.clear();
 }
 
 void
-CacheController::restoreWarmTags(const CacheTagSnapshot &snap)
+CacheController::assertIdleForWarmState() const
 {
     SPB_ASSERT(mshr_.inUse() == 0 && burstQueue_.empty() &&
                    prefetchQueue_.empty(),
@@ -695,7 +695,20 @@ CacheController::restoreWarmTags(const CacheTagSnapshot &snap)
                "(%zu MSHRs, %zu bursts, %zu prefetches)",
                params_.name.c_str(), mshr_.inUse(), burstQueue_.size(),
                prefetchQueue_.size());
+}
+
+void
+CacheController::restoreWarmTags(const CacheTagSnapshot &snap)
+{
+    assertIdleForWarmState();
     tags_.restoreTags(snap);
+}
+
+void
+CacheController::restoreWarmTags(const SetAssocCache &image)
+{
+    assertIdleForWarmState();
+    tags_.restoreTagsFrom(image);
 }
 
 } // namespace spburst

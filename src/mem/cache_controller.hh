@@ -184,6 +184,10 @@ class CacheController : public MemLevel
      */
     void restoreWarmTags(const CacheTagSnapshot &snap);
 
+    /** Same, copying straight from a live warm-image tag array of equal
+     *  geometry (sampling without a checkpoint). */
+    void restoreWarmTags(const SetAssocCache &image);
+
   private:
     struct QueuedPrefetch
     {
@@ -193,6 +197,7 @@ class CacheController : public MemLevel
     /** Result of attempting to issue one queued prefetch. */
     enum class PfIssueResult { Issued, Discarded, Retry };
 
+    void assertIdleForWarmState() const;
     void handleFill(Addr block_addr, bool ownership);
     void completeTarget(MshrTarget &target, bool ownership, Cycle delay);
     void installBlock(Addr block_addr, bool ownership, MemCmd fill_cmd);

@@ -101,6 +101,7 @@ CoherenceAuditor::auditDrained() const
                       "past the drain",
                       cache->params().name.c_str(),
                       cache->burstBacklog(), cache->prefetchBacklog());
+        cache->tags().auditTracked();
     }
 }
 

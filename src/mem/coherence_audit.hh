@@ -62,8 +62,8 @@ class CoherenceAuditor
     /** Audit every block the directory tracks. */
     void auditFull() const;
 
-    /** End-of-run residue check: call only once the event queue has
-     *  drained. */
+    /** End-of-run residue check (MSHRs, queues, tag-array tracking):
+     *  call only once the event queue has drained. */
     void auditDrained() const;
 
   private:

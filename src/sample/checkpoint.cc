@@ -69,6 +69,41 @@ getU8(std::FILE *f, std::uint8_t &v)
     return std::fread(&v, 1, 1, f) == 1;
 }
 
+// ---- bounds on untrusted counts -------------------------------------
+
+// Smallest encoded size of each counted item, so a count read from the
+// file can be checked against the bytes still in it before it sizes an
+// allocation.
+constexpr std::uint64_t kFrameBytes = 4 + 8 + 1 + 8;
+constexpr std::uint64_t kTlbEntryBytes = 4 + 8 + 8;
+constexpr std::uint64_t kUopBytes = 8 + 8 + 7;
+constexpr std::uint64_t kCacheMinBytes = 8 + 4;
+constexpr std::uint64_t kWindowMinBytes =
+    8 + 3 * kCacheMinBytes + (8 + 4) + (8 + 8 + 4 + 4 + 4 + 8) + 4;
+
+/** True if @p n items of at least @p each bytes fit in what is left of
+ *  @p f, a file of @p size bytes. */
+bool
+countFits(std::FILE *f, long size, std::uint32_t n, std::uint64_t each)
+{
+    const long at = std::ftell(f);
+    return at >= 0 && at <= size &&
+           n * each <= static_cast<std::uint64_t>(size - at);
+}
+
+/** True if @p fr can follow a frame at index @p next - 1 in a snapshot
+ *  of cache @p g: index in [next, frames), valid, and a block-aligned
+ *  tag in the set it maps to. */
+bool
+frameFits(const CacheTagSnapshot::Frame &fr, std::uint64_t next,
+          const CacheGeometry &g)
+{
+    const std::uint64_t sets = g.numSets();
+    return fr.index >= next && fr.index < sets * g.ways &&
+           isValid(fr.state) && blockAlign(fr.tag) == fr.tag &&
+           blockNumber(fr.tag) % sets == fr.index / g.ways;
+}
+
 // ---- composite writers/readers --------------------------------------
 
 void
@@ -85,12 +120,15 @@ putCache(std::FILE *f, const CacheTagSnapshot &c)
 }
 
 bool
-getCache(std::FILE *f, CacheTagSnapshot &c)
+getCache(std::FILE *f, long size, const CacheGeometry &g,
+         CacheTagSnapshot &c)
 {
     std::uint32_t n = 0;
-    if (!getU64(f, c.lruClock) || !getU32(f, n))
+    if (!getU64(f, c.lruClock) || !getU32(f, n) ||
+        !countFits(f, size, n, kFrameBytes))
         return false;
     c.frames.resize(n);
+    std::uint64_t next = 0;
     for (CacheTagSnapshot::Frame &fr : c.frames) {
         std::uint8_t state = 0;
         if (!getU32(f, fr.index) || !getU64(f, fr.tag) ||
@@ -99,6 +137,9 @@ getCache(std::FILE *f, CacheTagSnapshot &c)
         if (state > static_cast<std::uint8_t>(CohState::Modified))
             return false;
         fr.state = static_cast<CohState>(state);
+        if (!frameFits(fr, next, g))
+            return false;
+        next = fr.index + 1ULL;
     }
     return true;
 }
@@ -138,18 +179,23 @@ putWindow(std::FILE *f, const WindowSnapshot &w)
 }
 
 bool
-getWindow(std::FILE *f, WindowSnapshot &w)
+getWindow(std::FILE *f, long size, const WarmShape &shape,
+          WindowSnapshot &w)
 {
-    if (!getU64(f, w.startUop) || !getCache(f, w.l1) ||
-        !getCache(f, w.l2) || !getCache(f, w.l3))
+    if (!getU64(f, w.startUop) || !getCache(f, size, shape.l1, w.l1) ||
+        !getCache(f, size, shape.l2, w.l2) ||
+        !getCache(f, size, shape.l3, w.l3))
         return false;
     std::uint32_t n = 0;
-    if (!getU64(f, w.tlb.useClock) || !getU32(f, n))
+    if (!getU64(f, w.tlb.useClock) || !getU32(f, n) ||
+        !countFits(f, size, n, kTlbEntryBytes))
         return false;
     w.tlb.entries.resize(n);
     for (TlbSnapshot::Entry &e : w.tlb.entries) {
         if (!getU32(f, e.index) || !getU64(f, e.page) ||
             !getU64(f, e.lastUse))
+            return false;
+        if (e.index >= shape.tlbEntries)
             return false;
     }
     std::uint32_t sat = 0, back = 0, count = 0;
@@ -161,7 +207,7 @@ getWindow(std::FILE *f, WindowSnapshot &w)
     w.detector.satCounter = sat;
     w.detector.backwardCounter = back;
     w.detector.storeCount = count;
-    if (!getU32(f, n))
+    if (!getU32(f, n) || !countFits(f, size, n, kUopBytes))
         return false;
     w.uops.resize(n);
     for (MicroOp &op : w.uops) {
@@ -219,13 +265,18 @@ Checkpoint::save(const std::string &path) const
 
 bool
 Checkpoint::load(const std::string &path, const std::string &identity,
-                 Checkpoint &out)
+                 const WarmShape &shape, Checkpoint &out)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
         return false;
     bool ok = false;
     do {
+        if (std::fseek(f, 0, SEEK_END) != 0)
+            break;
+        const long size = std::ftell(f);
+        if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0)
+            break;
         char magic[8];
         if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
             std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -238,13 +289,14 @@ Checkpoint::load(const std::string &path, const std::string &identity,
             id != identity)
             break;
         std::uint32_t window_count = 0;
-        if (!getU64(f, out.warmedUops) || !getU32(f, window_count))
+        if (!getU64(f, out.warmedUops) || !getU32(f, window_count) ||
+            !countFits(f, size, window_count, kWindowMinBytes))
             break;
         out.identity = id;
         out.windows.resize(window_count);
         bool windows_ok = true;
         for (WindowSnapshot &w : out.windows) {
-            if (!getWindow(f, w)) {
+            if (!getWindow(f, size, shape, w)) {
                 windows_ok = false;
                 break;
             }

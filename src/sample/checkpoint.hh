@@ -15,9 +15,11 @@
  * sample spec, cache/TLB/SPB geometry — everything warm state depends
  * on, and nothing it does not, such as the SB policy). A mismatched,
  * truncated or unreadable file is treated as absent: the run falls
- * back to live warming and rewrites it. Writes go to a temporary file
- * followed by an atomic rename, so concurrent sweep jobs racing on the
- * same path each produce a complete, identical file.
+ * back to live warming and rewrites it; so does one whose counts or
+ * frames could not have been written for the configured geometry.
+ * Writes go to a temporary file followed by an atomic rename, so
+ * concurrent sweep jobs racing on the same path each produce a
+ * complete, identical file.
  */
 
 #pragma once
@@ -30,6 +32,15 @@
 
 namespace spburst::sample
 {
+
+/** Shapes of the warmed structures a loaded checkpoint must fit. */
+struct WarmShape
+{
+    CacheGeometry l1;
+    CacheGeometry l2;
+    CacheGeometry l3;
+    std::uint32_t tlbEntries = 0;
+};
 
 /** On-disk warm-state checkpoint: identity + one entry per window. */
 struct Checkpoint
@@ -44,13 +55,18 @@ struct Checkpoint
     void save(const std::string &path) const;
 
     /**
-     * Load @p path into @p out if it exists, parses, and its identity
-     * equals @p identity.
+     * Load @p path into @p out if it exists, parses, its identity
+     * equals @p identity and its state fits @p shape. Counts are
+     * bounded by the bytes left in the file before anything is sized
+     * from them; a tag frame must be valid, in range, index-ascending
+     * and in the set its tag maps to; a TLB entry must be in range.
      * @return True on success; false (out untouched or partially
-     *         filled, caller must discard) when absent or mismatched.
+     *         filled, caller must discard) when absent, mismatched or
+     *         corrupt.
      */
     static bool load(const std::string &path,
-                     const std::string &identity, Checkpoint &out);
+                     const std::string &identity, const WarmShape &shape,
+                     Checkpoint &out);
 };
 
 } // namespace spburst::sample

@@ -78,7 +78,10 @@ System::setupSampling()
     sample_->spec = sp;
     if (!sp.checkpointPath.empty()) {
         const std::string identity = sampleIdentity(config_);
-        if (sample::Checkpoint::load(sp.checkpointPath, identity,
+        const sample::WarmShape shape{
+            config_.mem.l1d.geometry, config_.mem.l2.geometry,
+            config_.mem.l3.geometry, config_.coreParams.tlb.entries};
+        if (sample::Checkpoint::load(sp.checkpointPath, identity, shape,
                                      sample_->checkpoint)) {
             sample_->replay = true;
             sample_->info.fromCheckpoint = true;
@@ -218,7 +221,10 @@ System::runSampled(const std::function<bool()> &interrupt)
                 snap = &rt.checkpoint.windows.back();
                 snap->uops.reserve(window_budget);
             } else {
-                local = rt.image->snapshot();
+                // No checkpoint: the tags transplant straight from the
+                // image below, so only the TLB and detector are copied.
+                local.tlb = rt.image->tlb().snapshotEntries();
+                local.detector = rt.image->detector().architecturalState();
                 snap = &local;
             }
             snap->startUop = rt.observer->position();
@@ -237,9 +243,15 @@ System::runSampled(const std::function<bool()> &interrupt)
         // ---- transplant warm state into the drained machine ----
         SPB_ASSERT(core.drained() && clock_.events.empty(),
                    "sampling window start on a busy machine");
-        mem_.l1d(0).restoreWarmTags(snap->l1);
-        mem_.l2(0).restoreWarmTags(snap->l2);
-        mem_.l3().restoreWarmTags(snap->l3);
+        if (snap == &local) {
+            mem_.l1d(0).restoreWarmTags(rt.image->l1());
+            mem_.l2(0).restoreWarmTags(rt.image->l2());
+            mem_.l3().restoreWarmTags(rt.image->l3());
+        } else {
+            mem_.l1d(0).restoreWarmTags(snap->l1);
+            mem_.l2(0).restoreWarmTags(snap->l2);
+            mem_.l3().restoreWarmTags(snap->l3);
+        }
         core.restoreWarmState(snap->tlb,
                               config_.useSpb ? &snap->detector
                                              : nullptr);

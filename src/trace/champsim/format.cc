@@ -1,5 +1,8 @@
 #include "trace/champsim/format.hh"
 
+#include <bit>
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace spburst::champsim
@@ -29,6 +32,25 @@ storeLe64(unsigned char *p, std::uint64_t v)
 void
 decodeRecord(const unsigned char (&buf)[kRecordBytes], Record &rec)
 {
+    if constexpr (std::endian::native == std::endian::little)
+        std::memcpy(&rec, buf, kRecordBytes);
+    else
+        decodeRecordPortable(buf, rec);
+}
+
+void
+encodeRecord(const Record &rec, unsigned char (&buf)[kRecordBytes])
+{
+    if constexpr (std::endian::native == std::endian::little)
+        std::memcpy(buf, &rec, kRecordBytes);
+    else
+        encodeRecordPortable(rec, buf);
+}
+
+void
+decodeRecordPortable(const unsigned char (&buf)[kRecordBytes],
+                     Record &rec)
+{
     rec.ip = loadLe64(buf);
     rec.isBranch = buf[8];
     rec.branchTaken = buf[9];
@@ -43,7 +65,8 @@ decodeRecord(const unsigned char (&buf)[kRecordBytes], Record &rec)
 }
 
 void
-encodeRecord(const Record &rec, unsigned char (&buf)[kRecordBytes])
+encodeRecordPortable(const Record &rec,
+                     unsigned char (&buf)[kRecordBytes])
 {
     storeLe64(buf, rec.ip);
     buf[8] = rec.isBranch;

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 namespace spburst::champsim
 {
@@ -63,11 +64,33 @@ struct Record
     std::uint64_t srcMem[kNumSrcMem] = {};
 };
 
+// The in-memory Record is the on-disk layout, so a little-endian host
+// decodes and encodes with one memcpy.
+static_assert(sizeof(Record) == kRecordBytes &&
+                  offsetof(Record, isBranch) == 8 &&
+                  offsetof(Record, branchTaken) == 9 &&
+                  offsetof(Record, destRegs) == 10 &&
+                  offsetof(Record, srcRegs) == 12 &&
+                  offsetof(Record, destMem) == 16 &&
+                  offsetof(Record, srcMem) == 32,
+              "Record must mirror the 64-byte on-disk layout");
+static_assert(std::is_trivially_copyable_v<Record>);
+
 /** Decode one 64-byte on-disk record (little-endian) into @p rec. */
 void decodeRecord(const unsigned char (&buf)[kRecordBytes], Record &rec);
 
 /** Encode @p rec into the 64-byte on-disk form (little-endian). */
 void encodeRecord(const Record &rec, unsigned char (&buf)[kRecordBytes]);
+
+/** Byte-wise, host-endian-independent decodeRecord: the big-endian
+ *  path, and the oracle the little-endian memcpy path is tested
+ *  against. */
+void decodeRecordPortable(const unsigned char (&buf)[kRecordBytes],
+                          Record &rec);
+
+/** Byte-wise encodeRecord (see decodeRecordPortable). */
+void encodeRecordPortable(const Record &rec,
+                          unsigned char (&buf)[kRecordBytes]);
 
 /**
  * Writes records to an uncompressed trace file. Used by unit tests and

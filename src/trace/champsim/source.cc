@@ -167,6 +167,8 @@ TraceReplaySource::startPass()
 void
 TraceReplaySource::refill()
 {
+    buffer_.clear();
+    bufferPos_ = 0;
     while (buffer_.empty()) {
         if (!passPrimed_)
             startPass();
@@ -189,12 +191,10 @@ TraceReplaySource::refill()
         // the end of a pass fall back to the sequential fiction.
         const std::uint64_t next_ip =
             havePending_ ? pending_.ip : current.ip + 4;
-        scratch_.clear();
-        cracker_.crack(current, next_ip, scratch_);
-        for (MicroOp &op : scratch_) {
+        cracker_.crack(current, next_ip, buffer_);
+        for (MicroOp &op : buffer_) {
             if (isMemOp(op.cls))
                 op.addr += addrOffset_;
-            buffer_.push_back(op);
         }
         ++stats_.instrsReplayed;
         ++passReplayed_;
@@ -205,11 +205,9 @@ TraceReplaySource::refill()
 MicroOp
 TraceReplaySource::next()
 {
-    if (buffer_.empty())
+    if (bufferPos_ == buffer_.size())
         refill();
-    const MicroOp op = buffer_.front();
-    buffer_.pop_front();
-    return op;
+    return buffer_[bufferPos_++];
 }
 
 } // namespace spburst::champsim

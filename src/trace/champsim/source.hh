@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -113,8 +112,8 @@ class TraceReplaySource : public TraceSource
     Addr addrOffset_;
     Decoder decoder_;
     Cracker cracker_;
-    std::deque<MicroOp> buffer_;
-    std::vector<MicroOp> scratch_;
+    std::vector<MicroOp> buffer_; //!< uops of the current record
+    std::size_t bufferPos_ = 0;   //!< next uop of buffer_ to serve
     Record pending_;
     bool havePending_ = false;
     bool passPrimed_ = false;

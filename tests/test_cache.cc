@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "check/check.hh"
 #include "common/clock.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -95,6 +99,169 @@ TEST(SetAssocCache, FillResetsPrefetchMetadata)
     cache.fill(frame, 0x1000, CohState::Shared);
     EXPECT_FALSE(frame.prefetched);
     EXPECT_FALSE(frame.prefetchUsed);
+}
+
+// ---------------------------------------------------------------------
+// Tracked-frame bitmap vs a brute-force walk of the whole array
+// ---------------------------------------------------------------------
+
+/** --check=full with violations thrown, for one scope. */
+struct FullChecks
+{
+    check::Level saved = check::level();
+    check::ThrowGuard guard;
+
+    FullChecks() { check::setLevel(check::Level::Full); }
+    ~FullChecks() { check::setLevel(saved); }
+};
+
+/** snapshotTags() computed by walking every frame. */
+CacheTagSnapshot
+bruteSnapshot(const SetAssocCache &c, std::uint64_t lru_clock)
+{
+    CacheTagSnapshot snap;
+    snap.lruClock = lru_clock;
+    for (std::size_t i = 0; i < c.numFrames(); ++i) {
+        const CacheBlk &f = c.frameAt(i);
+        if (isValid(f.state))
+            snap.frames.push_back({static_cast<std::uint32_t>(i), f.tag,
+                                   f.state, f.lastTouch});
+    }
+    return snap;
+}
+
+bool
+sameSnapshot(const CacheTagSnapshot &a, const CacheTagSnapshot &b)
+{
+    if (a.lruClock != b.lruClock || a.frames.size() != b.frames.size())
+        return false;
+    for (std::size_t k = 0; k < a.frames.size(); ++k) {
+        const CacheTagSnapshot::Frame &x = a.frames[k];
+        const CacheTagSnapshot::Frame &y = b.frames[k];
+        if (x.index != y.index || x.tag != y.tag || x.state != y.state ||
+            x.lastTouch != y.lastTouch)
+            return false;
+    }
+    return true;
+}
+
+/** Every field of every frame equal (valid or not). */
+bool
+sameFrames(const SetAssocCache &a, const SetAssocCache &b)
+{
+    if (a.numFrames() != b.numFrames())
+        return false;
+    for (std::size_t i = 0; i < a.numFrames(); ++i) {
+        const CacheBlk &x = a.frameAt(i);
+        const CacheBlk &y = b.frameAt(i);
+        if (x.tag != y.tag || x.state != y.state ||
+            x.lastTouch != y.lastTouch || x.prefetched != y.prefetched ||
+            x.prefetchUsed != y.prefetchUsed || x.fillCmd != y.fillCmd)
+            return false;
+    }
+    return true;
+}
+
+/** One seeded random step: fill / touch / invalidate / victim probe /
+ *  prefetch-metadata write / restore from @p other. */
+void
+randomStep(std::mt19937_64 &rng, SetAssocCache &c,
+           const SetAssocCache &other)
+{
+    // 64 distinct blocks over 16 sets: conflicts and evictions.
+    const Addr addr = 0x10000 + (rng() % 64) * kBlockSize;
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        if (c.find(addr) == nullptr) {
+            const CohState st =
+                static_cast<CohState>(1 + rng() % 3); // S, E or M
+            c.fill(c.victim(addr), addr, st);
+        }
+        break;
+      case 3:
+        if (CacheBlk *b = c.find(addr))
+            c.touch(*b);
+        break;
+      case 4:
+        (void)c.invalidate(addr);
+        break;
+      case 5:
+        (void)c.victim(addr); // a probe must not change anything
+        break;
+      case 6:
+        if (CacheBlk *b = c.find(addr)) {
+            b->prefetched = true;
+            b->prefetchUsed = rng() % 2 == 0;
+            b->fillCmd = MemCmd::SpbPF;
+            b->state = CohState::Modified;
+        }
+        break;
+      default:
+        if (rng() % 2 == 0)
+            c.restoreTags(other.snapshotTags());
+        else
+            c.restoreTagsFrom(other);
+        break;
+    }
+}
+
+TEST(SetAssocCache, TrackedWalksMatchBruteForce)
+{
+    const FullChecks full;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937_64 rng(seed);
+        SetAssocCache a(smallGeom());
+        SetAssocCache b(smallGeom());
+        for (int step = 0; step < 400; ++step) {
+            const bool on_a = rng() % 2 == 0;
+            randomStep(rng, on_a ? a : b, on_a ? b : a);
+            for (const SetAssocCache *c : {&a, &b}) {
+                const CacheTagSnapshot snap = c->snapshotTags();
+                ASSERT_TRUE(
+                    sameSnapshot(snap, bruteSnapshot(*c, snap.lruClock)))
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(c->validCount(), snap.frames.size());
+                std::vector<std::uint32_t> visited;
+                c->forEachValid([&](std::uint32_t i, const CacheBlk &f) {
+                    EXPECT_EQ(&f, &c->frameAt(i));
+                    visited.push_back(i);
+                });
+                ASSERT_EQ(visited.size(), snap.frames.size());
+                for (std::size_t k = 0; k < visited.size(); ++k)
+                    ASSERT_EQ(visited[k], snap.frames[k].index);
+                ASSERT_NO_THROW(c->auditTracked());
+            }
+        }
+
+        // Both restore paths leave identical arrays, whatever the
+        // destination held before.
+        SetAssocCache via_snapshot(smallGeom());
+        SetAssocCache direct(smallGeom());
+        for (int step = 0; step < 200; ++step) {
+            randomStep(rng, via_snapshot, b);
+            randomStep(rng, direct, b);
+        }
+        via_snapshot.restoreTags(a.snapshotTags());
+        direct.restoreTagsFrom(a);
+        EXPECT_TRUE(sameFrames(via_snapshot, direct)) << "seed " << seed;
+        EXPECT_TRUE(sameSnapshot(via_snapshot.snapshotTags(),
+                                 direct.snapshotTags()));
+        EXPECT_TRUE(sameSnapshot(direct.snapshotTags(), a.snapshotTags()));
+    }
+}
+
+TEST(SetAssocCache, AuditFlagsAnUntrackedFrame)
+{
+    const FullChecks full;
+    SetAssocCache cache(smallGeom());
+    cache.fill(cache.victim(0x1000), 0x1000, CohState::Shared);
+    EXPECT_NO_THROW(cache.auditTracked());
+    // Writing a frame behind fill()'s back leaves it untracked: a
+    // restore would not reset it.
+    cache.victim(0x2000).lastTouch = 7;
+    EXPECT_THROW(cache.auditTracked(), check::CheckViolation);
 }
 
 TEST(CohState, OwnershipPredicate)

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,60 @@ TEST(ChampsimFormat, LayoutMatchesChampsimOnDiskOffsets)
     EXPECT_EQ(buf[24], 0x88); // destination_memory[1]
     EXPECT_EQ(buf[31], 0x11);
     EXPECT_EQ(buf[48], 0x99); // source_memory[2]
+}
+
+/** Field-by-field Record equality (no padding to compare). */
+bool
+sameRecord(const Record &a, const Record &b)
+{
+    return a.ip == b.ip && a.isBranch == b.isBranch &&
+           a.branchTaken == b.branchTaken &&
+           std::equal(std::begin(a.destRegs), std::end(a.destRegs),
+                      std::begin(b.destRegs)) &&
+           std::equal(std::begin(a.srcRegs), std::end(a.srcRegs),
+                      std::begin(b.srcRegs)) &&
+           std::equal(std::begin(a.destMem), std::end(a.destMem),
+                      std::begin(b.destMem)) &&
+           std::equal(std::begin(a.srcMem), std::end(a.srcMem),
+                      std::begin(b.srcMem));
+}
+
+TEST(ChampsimFormat, FastCodecMatchesPortableOracle)
+{
+    // decodeRecord/encodeRecord take one memcpy on a little-endian
+    // host; the byte-wise codec is the reference. Random buffers cover
+    // bytes >= 0x80 in every position; the all-ones and alternating
+    // words catch sign extension and lane mix-ups.
+    std::mt19937_64 rng(20201017);
+    for (int trial = 0; trial < 2000; ++trial) {
+        unsigned char buf[champsim::kRecordBytes];
+        for (unsigned char &b : buf)
+            b = static_cast<unsigned char>(rng());
+        if (trial % 4 == 1) {
+            const std::size_t word = (rng() % 8) * 8;
+            std::fill(buf + word, buf + word + 8, 0xff);
+        } else if (trial == 2) {
+            std::fill(std::begin(buf), std::end(buf), 0xff);
+        } else if (trial == 3) {
+            for (std::size_t i = 0; i < champsim::kRecordBytes; ++i)
+                buf[i] = i % 2 == 0 ? 0x80 : 0x7f;
+        }
+
+        Record fast, portable;
+        champsim::decodeRecord(buf, fast);
+        champsim::decodeRecordPortable(buf, portable);
+        ASSERT_TRUE(sameRecord(fast, portable)) << "trial " << trial;
+
+        unsigned char out_fast[champsim::kRecordBytes];
+        unsigned char out_portable[champsim::kRecordBytes];
+        champsim::encodeRecord(fast, out_fast);
+        champsim::encodeRecordPortable(fast, out_portable);
+        ASSERT_TRUE(std::equal(std::begin(buf), std::end(buf), out_fast))
+            << "trial " << trial;
+        ASSERT_TRUE(std::equal(std::begin(buf), std::end(buf),
+                               out_portable))
+            << "trial " << trial;
+    }
 }
 
 // ---------------------------------------------------------------------

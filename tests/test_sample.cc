@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -507,6 +508,117 @@ TEST(SampleCheckpoint, TruncatedFileFallsBackToLiveWarming)
     EXPECT_TRUE(info.wroteCheckpoint);
     EXPECT_EQ(resultFingerprint(full), resultFingerprint(r));
     std::remove(ckpt.c_str());
+}
+
+/** Little-endian u32 at byte @p offset of @p path. */
+std::uint32_t
+readU32At(const std::string &path, long offset)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    unsigned char b[4] = {};
+    if (f != nullptr) {
+        std::fseek(f, offset, SEEK_SET);
+        if (std::fread(b, 1, sizeof(b), f) != sizeof(b))
+            b[0] = b[1] = b[2] = b[3] = 0;
+        std::fclose(f);
+    }
+    return b[0] | b[1] << 8 | b[2] << 16 |
+           static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+/** Overwrite the u32 at byte @p offset of @p path (little-endian). */
+void
+writeU32At(const std::string &path, long offset, std::uint32_t v)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const unsigned char b[4] = {
+        static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
+        static_cast<unsigned char>(v >> 16),
+        static_cast<unsigned char>(v >> 24)};
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(b, 1, sizeof(b), f), sizeof(b));
+    ASSERT_EQ(std::fclose(f), 0);
+}
+
+// SPBSMP01 layout: magic[8], u32 identity length, identity, u64 warmed
+// uops, u32 window count, then the windows. A window opens with u64
+// startUop and the L1 tag snapshot: u64 LRU clock, u32 frame count,
+// then frames of u32 index, u64 tag, u8 state, u64 LRU stamp.
+
+/** Byte offset of the checkpoint's window count. */
+long
+windowCountOffset(const std::string &path)
+{
+    return 8 + 4 + static_cast<long>(readU32At(path, 8)) + 8;
+}
+
+/** Byte offset of the first window's first L1 frame index. */
+long
+firstL1FrameIndexOffset(const std::string &path)
+{
+    return windowCountOffset(path) + 4 + 8 + 8 + 4;
+}
+
+/**
+ * Write a checkpoint, damage it with @p damage, and expect the next run
+ * to reject it: live warming, a rewritten file, and results identical
+ * to the undamaged run's.
+ */
+template <typename Damage>
+void
+expectDamagedCheckpointFallsBack(const std::string &name, Damage damage)
+{
+    const std::string ckpt = tmpPath(name);
+    std::remove(ckpt.c_str());
+    SystemConfig cfg = sampledFixtureConfig("at-commit");
+    cfg.sample.checkpointPath = ckpt;
+    const SimResult full = runOne(cfg);
+
+    damage(ckpt);
+    sample::SampleRunInfo info;
+    const SimResult r = runOne(cfg, &info);
+    EXPECT_FALSE(info.fromCheckpoint) << name;
+    EXPECT_TRUE(info.wroteCheckpoint) << name;
+    EXPECT_EQ(resultFingerprint(full), resultFingerprint(r)) << name;
+    std::remove(ckpt.c_str());
+}
+
+TEST(SampleCheckpoint, HugeCountFallsBackToLiveWarming)
+{
+    // A flipped count must be bounded by the bytes left in the file
+    // before it sizes an allocation, not end in bad_alloc or OOM.
+    expectDamagedCheckpointFallsBack(
+        "huge_windows.ckpt", [](const std::string &path) {
+            writeU32At(path, windowCountOffset(path), 0xFFFFFFFFu);
+        });
+    expectDamagedCheckpointFallsBack(
+        "huge_frames.ckpt", [](const std::string &path) {
+            writeU32At(path, firstL1FrameIndexOffset(path) - 4,
+                       0xFFFFFFFFu);
+        });
+}
+
+TEST(SampleCheckpoint, FrameIndexPastArrayFallsBackToLiveWarming)
+{
+    const SystemConfig cfg = sampledFixtureConfig("at-commit");
+    const CacheGeometry &l1 = cfg.mem.l1d.geometry;
+    const auto l1_frames =
+        static_cast<std::uint32_t>(l1.numSets() * l1.ways);
+    expectDamagedCheckpointFallsBack(
+        "index_past_array.ckpt", [&](const std::string &path) {
+            ASSERT_GT(readU32At(path, firstL1FrameIndexOffset(path) - 4),
+                      0u);
+            writeU32At(path, firstL1FrameIndexOffset(path), l1_frames);
+        });
+    // In range but in the wrong set for its tag: restoring it would
+    // silently misplace the block.
+    expectDamagedCheckpointFallsBack(
+        "index_wrong_set.ckpt", [&](const std::string &path) {
+            const long at = firstL1FrameIndexOffset(path);
+            writeU32At(path, at, (readU32At(path, at) + l1.ways) %
+                                     l1_frames);
+        });
 }
 
 // ---------------------------------------------------------------------
